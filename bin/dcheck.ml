@@ -214,9 +214,7 @@ type engine_opts = {
 
 let engine_conv =
   let parse = function
-    | "auto" -> Ok Detcor_semantics.Ts.Auto
     | "packed" -> Ok Detcor_semantics.Ts.Packed
-    | "reference" -> Ok Detcor_semantics.Ts.Reference
     | "sharded" -> Ok Detcor_semantics.Ts.Sharded
     | s -> Error (`Msg (Fmt.str "unknown engine %S" s))
   in
@@ -227,15 +225,14 @@ let engine_term =
   let engine_arg =
     Arg.(
       value
-      & opt engine_conv Detcor_semantics.Ts.Auto
+      & opt engine_conv Detcor_semantics.Ts.Packed
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Exploration engine: $(b,auto) (packed with reference \
-             fallback), $(b,packed), $(b,reference), or $(b,sharded) — \
-             the out-of-core engine whose state and edge arenas are \
-             hash-partitioned into shards that spill to disk under \
-             $(b,--spill-dir), for explorations past RAM.  All engines \
-             produce identical verdicts and state numbering.")
+            "Exploration engine residency: $(b,packed) (in-memory arrays) \
+             or $(b,sharded) — state and edge arenas hash-partitioned into \
+             shards that spill to disk under $(b,--spill-dir), for \
+             explorations past RAM.  Both produce identical verdicts and \
+             state numbering.")
   in
   let shards_arg =
     Arg.(
@@ -617,26 +614,22 @@ let info_cmd =
       Fmt.pr "  WARNING: ill-formed actions:@.";
       List.iter (fun m -> Fmt.pr "    %s@." m) issues
     end;
-    (* Which engine the auto dispatch actually picks for this program, and
-       why it fell back to the reference engine if it did.  A state space
-       exceeding --limit is NOT swallowed here: it propagates to the shared
-       handler and exits 3 like every other exhausted budget. *)
+    (* Explore from the invariant to report the engine and its shards.  A
+       state space exceeding --limit is NOT swallowed here: it propagates
+       to the shared handler and exits 3 like every other exhausted
+       budget, and a domain escape exits 2 with its located message. *)
     let module Ts = Detcor_semantics.Ts in
     let ts =
       Ts.of_pred ~limit ~engine
         (Fault.compose e.program e.faults)
         ~from:e.invariant
     in
-    Fmt.pr "  engine:        %s@." (Ts.engine_name (Ts.engine_of ts));
+    Fmt.pr "  engine:        %s@." (Ts.engine_name engine);
     (match Ts.shard_stats ts with
     | None -> ()
     | Some (k, spills, bytes, reloads) ->
       Fmt.pr "  shards:        %d (%d spills, %d bytes spilled, %d reloads)@."
         k spills bytes reloads);
-    (match Ts.fallback_reason ts with
-    | None -> ()
-    | Some reason ->
-      Fmt.pr "  WARNING: packed engine fell back to reference: %s@." reason);
     0
   in
   Cmd.v
@@ -923,6 +916,7 @@ let simulate_cmd =
           ~policy:(Injector.Random { probability = prob; max_faults })
           ~init
       in
+      Runner.check_domains e.program samples;
       let violations =
         List.filter
           (fun r -> Monitor.first_safety_violation r sspec <> None)
@@ -1222,7 +1216,6 @@ let profile_cmd =
         "engine.builds"; "engine.states_visited"; "engine.edges";
         "engine.pred_cache.hits"; "engine.pred_cache.misses";
         "engine.enabled_cache.hits"; "engine.enabled_cache.misses";
-        "engine.fallbacks";
       ];
     Fmt.pr "@.";
     List.iter

@@ -1,15 +1,15 @@
 (** Fault classes (Section 2.3): sets of actions over the program's
-    variables, possibly with auxiliary variables (e.g. Byzantine mode
-    bits). *)
+    declared variables.  Bookkeeping a fault needs (e.g. Byzantine mode
+    bits, a fault-step budget) is declared by the program, which never
+    writes it. *)
 
 open Detcor_kernel
 
 type t
 
-val make : ?aux_vars:(string * Domain.t) list -> string -> Action.t list -> t
+val make : string -> Action.t list -> t
 val name : t -> string
 val actions : t -> Action.t list
-val aux_vars : t -> (string * Domain.t) list
 val action_names : t -> string list
 
 (** The empty fault class. *)
@@ -24,5 +24,4 @@ val corrupt_variable : ?guard:Pred.t -> string -> Domain.t -> t
     only p-fair and p-maximal, which the tolerance checkers respect. *)
 val compose : Program.t -> t -> Program.t
 
-val composed_vars : Program.t -> t -> (string * Domain.t) list
 val pp : t Fmt.t

@@ -374,28 +374,24 @@ let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults
     items;
   }
 
-(* The invariant states of the product space.  The reference engine keeps
-   the seed behaviour (materialize the product list, then filter); the
-   packed engines stream the enumeration through the program's layout. *)
-let init_states ?limit ?(engine = Ts.Auto) p ~invariant =
-  ignore limit;
-  let reference () = List.filter (Pred.holds invariant) (Program.states p) in
-  match engine with
-  | Ts.Reference -> reference ()
-  | Ts.Packed | Ts.Auto | Ts.Sharded -> (
-    match Layout.of_program p with
-    | Some layout ->
-      let acc = ref [] in
-      Layout.iter_scratch layout (fun sc ->
-          if Pred.holds invariant (State.scratch_view sc) then
-            acc := State.scratch_copy sc :: !acc);
-      List.rev !acc
-    | None ->
-      if engine = Ts.Auto then reference ()
-      else raise Layout.Unrepresentable)
+(* The invariant states of the product space, streamed through the
+   program's layout.  Only the states collected count against [limit]: a
+   large product with a small invariant is swept in full, but an invariant
+   larger than [limit] exhausts the same state budget [Ts.build] does. *)
+let init_states ?(limit = Ts.default_limit) p ~invariant =
+  let layout = Layout.compile p in
+  let acc = ref [] in
+  let count = ref 0 in
+  Layout.iter_scratch layout (fun sc ->
+      if Pred.holds invariant (State.scratch_view sc) then begin
+        if !count >= limit then raise (Ts.Too_large limit);
+        incr count;
+        acc := State.scratch_copy sc :: !acc
+      end);
+  List.rev !acc
 
 let check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol =
-  match init_states ?limit ?engine p ~invariant with
+  match init_states ?limit p ~invariant with
   | init ->
     check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init
       ~faults ~tol

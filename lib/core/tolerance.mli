@@ -89,15 +89,11 @@ val refines_from_states :
   invariant:Pred.t ->
   Ts.t * Check.outcome
 
-(** The product-space states satisfying the invariant.  With the packed
-    engine the product is streamed through the program's {!Layout} instead
-    of materialized as a list. *)
-val init_states :
-  ?limit:int ->
-  ?engine:Ts.engine ->
-  Program.t ->
-  invariant:Pred.t ->
-  State.t list
+(** The product-space states satisfying the invariant, streamed through
+    the program's {!Layout} in [State.compare] order.
+    @raise Ts.Too_large if more than [limit] states satisfy the invariant
+    (the product sweep itself is not bounded). *)
+val init_states : ?limit:int -> Program.t -> invariant:Pred.t -> State.t list
 
 (** [leads_to_under_faults ~ts_pf ~ts_p o]: does the leads-to obligation
     hold on every computation of [p [] F] under the finitely-many-faults

@@ -132,26 +132,30 @@ let enabled_actions p st = List.filter (fun ac -> Action.enabled ac st) p.action
 let deadlocked p st = enabled_actions p st = []
 
 (* [well_formed p] checks that every action maps in-domain states to
-   in-domain states; returns the list of violations. *)
+   in-domain states; returns the list of violations, grouped by action in
+   declaration order, each group in product enumeration order.  One lazy
+   sweep of the product: the space is never materialized. *)
 let well_formed p =
-  let universe = states p in
   let in_domain st =
     List.for_all (fun vd -> Domain.mem (State.get st vd.var_name) vd.domain) p.vars
   in
-  let check_action ac =
-    List.concat_map
-      (fun st ->
-        List.filter_map
-          (fun st' ->
-            if in_domain st' then None
-            else
-              Some
-                (Fmt.str "action %s maps %s out of domain (%s)"
-                   (Action.name ac) (State.to_string st) (State.to_string st')))
-          (Action.execute ac st))
-      universe
-  in
-  List.concat_map check_action p.actions
+  let actions = Array.of_list p.actions in
+  let found = Array.make (Array.length actions) [] in
+  fold_states
+    (fun () st ->
+      Array.iteri
+        (fun k ac ->
+          List.iter
+            (fun st' ->
+              if not (in_domain st') then
+                found.(k) <-
+                  Fmt.str "action %s maps %s out of domain (%s)"
+                    (Action.name ac) (State.to_string st) (State.to_string st')
+                  :: found.(k))
+            (Action.execute ac st))
+        actions)
+    () p;
+  List.concat_map List.rev (Array.to_list found)
 
 (* ------------------------------------------------------------------ *)
 (* Encapsulation (Section 2.1, Encapsulates).                          *)

@@ -11,21 +11,20 @@
    Rank order is exactly [State.compare] order: variables are compared in
    ascending name order and domain codes are assigned in ascending
    [Value.compare] order, so the lexicographic rank comparison coincides
-   with the map comparison.  [Ts] relies on this to reproduce the seed
-   engine's state numbering without sorting. *)
+   with the map comparison.  [Ts] relies on this to number states in
+   [State.compare] order without sorting. *)
 
 open Detcor_kernel
 
-exception Unrepresentable
-
-(* Why the last [pack] failed.  [pack] sits on the engine's hot path, so
-   the diagnosis is a small variant recorded through one atomic store on
-   the (exceptional) failure path only; [Ts] reads it back to explain
-   Auto→Reference fallbacks. *)
+(* Why a state does not fit the layout.  [pack] sits on the engine's hot
+   path, so the diagnosis is built only on the (exceptional) failure path
+   and travels as the exception's payload. *)
 type escape =
   | Extra_variable of string (* state binds a variable the layout lacks *)
   | Missing_variable of string (* state lacks a layout variable *)
   | Out_of_domain of string * Value.t (* value outside the declared domain *)
+
+exception Unrepresentable of escape
 
 let pp_escape ppf = function
   | Extra_variable x -> Fmt.pf ppf "state binds undeclared variable %s" x
@@ -33,13 +32,7 @@ let pp_escape ppf = function
   | Out_of_domain (x, v) ->
     Fmt.pf ppf "variable %s escaped its declared domain (value %a)" x Value.pp v
 
-let last_escape : escape option Atomic.t = Atomic.make None
-
-let escape_reason () = Atomic.get last_escape
-
-let escaped e =
-  Atomic.set last_escape (Some e);
-  raise Unrepresentable
+let escaped e = raise (Unrepresentable e)
 
 (* Per-variable encoder from value to domain index.  [pack] runs once per
    generated successor on the engine's hot path, so the common domain
@@ -117,6 +110,16 @@ let of_program p =
     Some { vars; domains; strides; coders; space = !space }
   end
 
+let compile p =
+  match of_program p with
+  | Some t -> t
+  | None ->
+    Detcor_robust.Error.type_error
+      "program %s: the product of its %d declared domains overflows the \
+       packed rank range"
+      (Program.name p)
+      (List.length (Program.var_decls p))
+
 let num_vars t = Array.length t.vars
 let space t = t.space
 let var t k = t.vars.(k)
@@ -189,7 +192,7 @@ let pack_from t ~src_rank src st' =
 
 let pack_opt t st = match pack t st with
   | rank -> Some rank
-  | exception Unrepresentable -> None
+  | exception Unrepresentable _ -> None
 
 let unpack t rank =
   if rank < 0 || rank >= t.space then

@@ -5,32 +5,32 @@
     integer indices, so that any state binding exactly those variables to
     in-domain values packs into a single integer rank.  Rank order coincides
     with {!Detcor_kernel.State.compare} order, which the packed engine of
-    {!Ts} relies on to reproduce the reference engine's state numbering. *)
+    {!Ts} relies on to number initial states without sorting. *)
 
 open Detcor_kernel
 
 type t
 
-(** Raised by {!pack} when a state binds a variable outside the layout, is
-    missing a layout variable, or holds an out-of-domain value. *)
-exception Unrepresentable
-
-(** Why the last {!pack} failed (read back by {!Ts} to explain an
-    Auto→Reference engine fallback). *)
+(** Why a state does not fit a layout. *)
 type escape =
   | Extra_variable of string
   | Missing_variable of string
   | Out_of_domain of string * Value.t
 
-val pp_escape : Format.formatter -> escape -> unit
+(** Raised by {!pack} when a state binds a variable outside the layout, is
+    missing a layout variable, or holds an out-of-domain value; the payload
+    names the offending variable (and value). *)
+exception Unrepresentable of escape
 
-(** The diagnosis recorded by the most recent {!pack} failure in any
-    domain, if any. *)
-val escape_reason : unit -> escape option
+val pp_escape : Format.formatter -> escape -> unit
 
 (** [of_program p] compiles the layout of [p]'s declared variables, or
     [None] when the product space size overflows the integer range. *)
 val of_program : Program.t -> t option
+
+(** [compile p] is [of_program p], with an overflowing product reported
+    as a located [Error.Type_error] naming the program. *)
+val compile : Program.t -> t
 
 val num_vars : t -> int
 

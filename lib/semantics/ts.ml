@@ -6,24 +6,25 @@
    All decision procedures of the library (closure, convergence, leads-to,
    fairness, safety) run on this structure.
 
-   Two engines build the same structure:
+   One engine explores, with two residency modes:
 
-   - [Packed] (the default via [Auto]): a [Layout] compiles the program's
-     variables and domains to integer indices once, states are interned by
-     their packed rank (a single int), edges land in CSR (compressed sparse
-     row) arrays, and predicate / guard evaluations are cached in per-system
+   - [Packed] (the default): a [Layout] compiles the program's variables
+     and domains to integer indices once, states are interned by their
+     packed rank (a single int), edges land in CSR (compressed sparse row)
+     arrays, and predicate / guard evaluations are memoized in per-system
      bitsets so [holds_at] and [enabled] answer in O(1) after one sweep.
      Frontier expansion can fan out over OCaml 5 domains ([?workers]) with
      a deterministic in-order merge, so the numbering is independent of the
      worker count.
-   - [Reference]: the seed list-based path — map-keyed interning and direct
-     predicate evaluation on every query.  It is kept both as the fallback
-     for programs whose actions step outside their declared domains (where
-     no layout applies) and as the oracle for differential testing.
+   - [Sharded]: the same exploration order over hash-partitioned arenas
+     that spill to disk (see [build_sharded]).
 
-   Both engines explore initial states in [State.compare] order and expand
-   states in id order, so they produce identical state numbering, edge
-   arrays and initials. *)
+   Initial states are explored in [State.compare] order and states are
+   expanded in id order, so both modes produce identical state numbering,
+   edge arrays and initials.  A successor outside the declared domains has
+   no rank: it is reported as a located type error naming the action, the
+   source state and the escaped variable, never explored.  The list-based
+   oracle the differential suites compare against lives under [test/]. *)
 
 open Detcor_kernel
 open Detcor_obs
@@ -62,7 +63,6 @@ let m_pred_hits = Metrics.counter "engine.pred_cache.hits"
 let m_pred_misses = Metrics.counter "engine.pred_cache.misses"
 let m_enabled_hits = Metrics.counter "engine.enabled_cache.hits"
 let m_enabled_misses = Metrics.counter "engine.enabled_cache.misses"
-let m_fallbacks = Metrics.counter "engine.fallbacks"
 let m_par_expanded = Metrics.counter "engine.parallel.states_expanded"
 let h_frontier = Metrics.histogram "engine.frontier_width"
 let h_worker_chunk = Metrics.histogram "engine.worker_chunk"
@@ -71,14 +71,7 @@ let h_worker_chunk = Metrics.histogram "engine.worker_chunk"
    correctness-relevant event, not a tuning signal). *)
 let m_worker_retries = Metrics.counter "robust.worker_retries"
 
-module State_table = Hashtbl.Make (struct
-  type t = State.t
-
-  let equal = State.equal
-  let hash = State.hash
-end)
-
-type engine = Auto | Packed | Reference | Sharded
+type engine = Packed | Sharded
 
 type t = {
   program : Program.t;
@@ -91,18 +84,12 @@ type t = {
   edge_target : int array;
   initials : int list;
   lookup : State.t -> int option;
-  layout : Layout.t option; (* Some iff built by the packed engine *)
-  (* Bitset caches; only consulted when [cached] (packed engine). *)
-  cached : bool;
+  layout : Layout.t;
   pred_cache : (int, Bitset.t) Hashtbl.t; (* keyed by Pred.id *)
   enabled_cache : Bitset.t option array; (* per action id *)
   (* The out-of-core store, present iff built by the sharded engine; the
      flat arrays above are then empty and every accessor dispatches. *)
   shard : Shard_store.t option;
-  (* Set when [Auto] dispatch fell back to the reference engine: the
-     diagnosed reason (domain escape, product overflow).  Surfaced by
-     `dcheck info` and the Obs metrics. *)
-  mutable fallback_reason : string option;
 }
 
 exception Too_large of int
@@ -110,7 +97,7 @@ exception Too_large of int
 let default_limit = 2_000_000
 
 (* ------------------------------------------------------------------ *)
-(* Growable buffers shared by both engines.                            *)
+(* Growable construction buffers.                                      *)
 (* ------------------------------------------------------------------ *)
 
 type builder = {
@@ -225,7 +212,33 @@ let restore_edges b snap =
   Array.blit snap.s_rows 0 b.rows 0 (snap.s_expanded + 1);
   b.expanded <- snap.s_expanded
 
-let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
+let make_system program actions ~states ~row_ptr ~edge_action ~edge_target
+    ~initials ~lookup ~layout ~shard =
+  {
+    program;
+    states;
+    actions;
+    row_ptr;
+    edge_action;
+    edge_target;
+    initials;
+    lookup;
+    layout;
+    shard;
+    pred_cache = Hashtbl.create 16;
+    enabled_cache = Array.make (Array.length actions) None;
+  }
+
+(* A system explored outside this module, in CSR form.  Queries run on
+   the flat arrays exactly as on a packed system. *)
+let assemble program ~states ~row_ptr ~edge_action ~edge_target ~initials
+    ~lookup =
+  make_system program
+    (Array.of_list (Program.actions program))
+    ~states ~row_ptr ~edge_action ~edge_target ~initials ~lookup
+    ~layout:(Layout.compile program) ~shard:None
+
+let finish b ~program ~actions ~initials ~lookup ~layout =
   let n = b.count in
   if Obs.on () || Progress.armed () then live_flush ();
   if Obs.on () then begin
@@ -233,63 +246,49 @@ let finish b ~program ~actions ~initials ~lookup ~layout ~cached =
     Metrics.incr ~by:n m_states;
     Metrics.incr ~by:b.elen m_edges
   end;
-  {
-    program;
-    states = Array.sub b.states_buf 0 n;
+  make_system program actions
+    ~states:(Array.sub b.states_buf 0 n)
+    ~row_ptr:(Array.sub b.rows 0 (n + 1))
+    ~edge_action:(Array.sub b.ea 0 b.elen)
+    ~edge_target:(Array.sub b.et 0 b.elen)
+    ~initials ~lookup ~layout ~shard:None
+
+(* ------------------------------------------------------------------ *)
+(* Domain escapes.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A successor that [Layout.pack] rejects left the program's declared
+   domains.  No rank represents it, so the exploration stops with a
+   type error located at the step that produced it. *)
+let escape_error ~action ~src e =
+  Detcor_robust.Error.type_error
+    "action %s steps from %s outside the declared domains: %a" action
+    (State.to_string src) Layout.pp_escape e
+
+(* Some successor of [src] failed to pack: re-execute the actions to find
+   the first escaping one in edge order.  Expansion loops wrap a whole
+   state in one handler and call this only on the failure path, so the
+   hot loops allocate exactly as they would without the check. *)
+let escape_at layout actions src =
+  Array.iter
+    (fun ac ->
+      List.iter
+        (fun st' ->
+          try ignore (Layout.pack layout st')
+          with Layout.Unrepresentable e ->
+            escape_error ~action:(Action.name ac) ~src e)
+        (Action.execute ac src))
     actions;
-    row_ptr = Array.sub b.rows 0 (n + 1);
-    edge_action = Array.sub b.ea 0 b.elen;
-    edge_target = Array.sub b.et 0 b.elen;
-    initials;
-    lookup;
-    layout;
-    cached;
-    shard = None;
-    pred_cache = Hashtbl.create 16;
-    enabled_cache = Array.make (Array.length actions) None;
-    fallback_reason = None;
-  }
+  Detcor_robust.Error.internal "Ts: no successor of %s escapes"
+    (State.to_string src)
 
-(* ------------------------------------------------------------------ *)
-(* Reference engine: the seed list-based path.                         *)
-(* ------------------------------------------------------------------ *)
-
-let build_reference ~limit program ~from =
-  let actions = Array.of_list (Program.actions program) in
-  let index = State_table.create 1024 in
-  let b = new_builder ~limit in
-  let intern st =
-    match State_table.find_opt index st with
-    | Some i -> i
-    | None ->
-      let i = add_state b st in
-      State_table.add index st i;
-      i
-  in
-  let initials = List.map intern (List.sort_uniq State.compare from) in
-  (* Expansion in id order is exactly the seed's FIFO breadth-first order:
-     every new state receives the next id and is appended. *)
-  let cursor = ref 0 in
-  Progress.with_phase "engine.bfs"
-    (fun () ->
-      [ ("states", b.count); ("frontier", b.count - !cursor); ("workers", 1) ])
-    (fun () ->
-      while !cursor < b.count do
-        Detcor_robust.Budget.tick ();
-        let i = !cursor in
-        let st = b.states_buf.(i) in
-        Array.iteri
-          (fun aid ac ->
-            List.iter
-              (fun st' -> push_edge b aid (intern st'))
-              (Action.execute ac st))
-          actions;
-        close_row b i;
-        incr cursor
-      done);
-  finish b ~program ~actions ~initials
-    ~lookup:(fun st -> State_table.find_opt index st)
-    ~layout:None ~cached:false
+let pack_initial layout st =
+  match Layout.pack layout st with
+  | rank -> rank
+  | exception Layout.Unrepresentable e ->
+    Detcor_robust.Error.type_error
+      "initial state %s is outside the declared domains: %a"
+      (State.to_string st) Layout.pp_escape e
 
 (* ------------------------------------------------------------------ *)
 (* Packed engine: rank-interned states, optional parallel frontier.    *)
@@ -301,22 +300,27 @@ let build_reference ~limit program ~from =
 let successors_packed layout actions st =
   Detcor_robust.Budget.tick ();
   let acc = ref [] in
-  Array.iteri
-    (fun aid ac ->
-      List.iter
-        (fun st' -> acc := (aid, st', Layout.pack layout st') :: !acc)
-        (Action.execute ac st))
-    actions;
+  (try
+     Array.iteri
+       (fun aid ac ->
+         List.iter
+           (fun st' -> acc := (aid, st', Layout.pack layout st') :: !acc)
+           (Action.execute ac st))
+       actions
+   with Layout.Unrepresentable _ -> escape_at layout actions st);
   List.rev !acc
 
 (* Expand the frontier slice [lo, hi) in parallel: split it into [workers]
    chunks, compute successor lists in worker domains, and merge them back
    in id order so the numbering matches the sequential engine exactly.
 
-   A worker that dies with anything other than a tripped budget (the
-   deliberate cancellation path) is degraded, not fatal: its chunk is
-   recomputed sequentially on this domain at the point its results would
-   have merged, so ordering — and therefore the numbering — is unchanged.
+   A worker that dies with a toolkit error re-raises it at its merge
+   position: a tripped budget cancels the build, and a domain escape is
+   the located error the sequential loop would raise first, since chunks
+   merge in id order.  A worker that dies of anything else is degraded,
+   not fatal: its chunk is recomputed sequentially on this domain at the
+   point its results would have merged, so ordering — and therefore the
+   numbering — is unchanged.
    Returns the number of lost workers so the caller can shrink the pool. *)
 let expand_parallel layout actions b index ~lo ~hi ~workers =
   let len = hi - lo in
@@ -379,10 +383,7 @@ let expand_parallel layout actions b index ~lo ~hi ~workers =
     (fun w result ->
       match result with
       | Ok per_state -> consume per_state
-      | Error
-          (Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Resource _)
-           as e) ->
-        raise e
+      | Error (Detcor_robust.Error.Detcor_error _ as e) -> raise e
       | Error e ->
         incr retried;
         Metrics.incr m_worker_retries;
@@ -456,13 +457,16 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
           for i = lo to hi - 1 do
             Detcor_robust.Budget.tick ();
             let st = b.states_buf.(i) in
-            Array.iteri
-              (fun aid ac ->
-                List.iter
-                  (fun st' ->
-                    push_edge b aid (intern_code st' (Layout.pack layout st')))
-                  (Action.execute ac st))
-              actions;
+            (try
+               Array.iteri
+                 (fun aid ac ->
+                   List.iter
+                     (fun st' ->
+                       push_edge b aid
+                         (intern_code st' (Layout.pack layout st')))
+                     (Action.execute ac st))
+                 actions
+             with Layout.Unrepresentable _ -> escape_at layout actions st);
             close_row b i
           done;
         cursor := hi
@@ -473,15 +477,15 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
       match Layout.pack_opt layout st with
       | None -> None
       | Some rank -> Hashtbl.find_opt index rank)
-    ~layout:(Some layout) ~cached:true
+    ~layout
 
 let build_packed ~limit ~workers layout program ~from =
   let actions = Array.of_list (Program.actions program) in
   let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   let b = new_builder ~limit in
-  (* Sorting by rank is sorting by State.compare (Layout invariant), so the
-     initial numbering matches the reference engine. *)
-  let ranked = List.map (fun st -> (Layout.pack layout st, st)) from in
+  (* Sorting by rank is sorting by State.compare (Layout invariant): the
+     initial numbering is State.compare order. *)
+  let ranked = List.map (fun st -> (pack_initial layout st, st)) from in
   let ranked =
     List.sort_uniq (fun (r1, _) (r2, _) -> Int.compare r1 r2) ranked
   in
@@ -500,20 +504,22 @@ let build_packed ~limit ~workers layout program ~from =
 
 (* Packed [full]: every product state is present, so a state's index IS
    its rank — no interning table at all.  States are materialized in rank
-   order (= State.compare order = the reference numbering) and successors
-   resolve to indices with one [Layout.pack].  With [workers], the
+   order (= State.compare order) and successors resolve to indices with
+   one [Layout.pack].  With [workers], the
    execute+pack phase fans out over rank chunks; the merge is a plain
-   append in id order, so the result is engine-independent. *)
+   append in id order, so the result is independent of the worker count. *)
 let successor_ranks layout actions ~rank st =
   Detcor_robust.Budget.tick ();
   let acc = ref [] in
-  Array.iteri
-    (fun aid ac ->
-      List.iter
-        (fun st' ->
-          acc := (aid, Layout.pack_from layout ~src_rank:rank st st') :: !acc)
-        (Action.execute ac st))
-    actions;
+  (try
+     Array.iteri
+       (fun aid ac ->
+         List.iter
+           (fun st' ->
+             acc := (aid, Layout.pack_from layout ~src_rank:rank st st') :: !acc)
+           (Action.execute ac st))
+       actions
+   with Layout.Unrepresentable _ -> escape_at layout actions st);
   List.rev !acc
 
 let full_packed ~limit ~workers layout program =
@@ -579,10 +585,7 @@ let full_packed ~limit ~workers layout program =
       (fun w result ->
         match result with
         | Ok per_state -> consume per_state
-        | Error
-            (Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Resource _)
-             as e) ->
-          raise e
+        | Error (Detcor_robust.Error.Detcor_error _ as e) -> raise e
         | Error e ->
           (* Lost worker: recompute its chunk here, in merge position. *)
           Metrics.incr m_worker_retries;
@@ -596,24 +599,26 @@ let full_packed ~limit ~workers layout program =
     for i = base to n - 1 do
       Detcor_robust.Budget.tick ();
       let st = b.states_buf.(i) in
-      Array.iteri
-        (fun aid ac ->
-          List.iter
-            (fun st' ->
-              push_edge b aid (Layout.pack_from layout ~src_rank:i st st'))
-            (Action.execute ac st))
-        actions;
+      (try
+         Array.iteri
+           (fun aid ac ->
+             List.iter
+               (fun st' ->
+                 push_edge b aid (Layout.pack_from layout ~src_rank:i st st'))
+               (Action.execute ac st))
+           actions
+       with Layout.Unrepresentable _ -> escape_at layout actions st);
       close_row b i
     done;
   Detcor_robust.Checkpoint.complete phase (capture ());
   finish b ~program ~actions
     ~initials:(List.init n Fun.id)
     ~lookup:(fun st -> Layout.pack_opt layout st)
-    ~layout:(Some layout) ~cached:true
+    ~layout
 
 (* Packed [of_pred]: stream the product space in rank order (which is
    State.compare order), interning matches on the fly — no intermediate
-   lists and no sorting, unlike the reference path. *)
+   lists and no sorting. *)
 let of_pred_packed ~limit ~workers layout program ~from =
   let actions = Array.of_list (Program.actions program) in
   let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
@@ -700,17 +705,16 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
   Detcor_robust.Checkpoint.set_capture phase (fun () -> !latest);
   let frontier_width = ref 0 in
   let level = ref 0 in
-  (* Expand sources [lo, wend) into the outbox.  Pure appends: each
-     (producer, owner) lane is written by exactly one caller. *)
-  let expand_range ob lo wend =
-    let sc = Layout.scratch layout in
-    for gid = lo to wend - 1 do
-      Detcor_robust.Budget.tick ();
-      let rank = Shard_store.rank_of store gid in
-      Layout.unpack_into layout sc rank;
-      let st = State.scratch_copy sc in
-      let producer = Shard_store.shard_of store gid in
-      let pos = ref 0 in
+  (* Expand one source into the outbox.  Pure appends: each (producer,
+     owner) lane is written by exactly one caller. *)
+  let expand_gid ob sc gid =
+    Detcor_robust.Budget.tick ();
+    let rank = Shard_store.rank_of store gid in
+    Layout.unpack_into layout sc rank;
+    let st = State.scratch_copy sc in
+    let producer = Shard_store.shard_of store gid in
+    let pos = ref 0 in
+    try
       Array.iteri
         (fun aid ac ->
           List.iter
@@ -721,13 +725,22 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
               incr pos)
             (Action.execute ac st))
         actions
+    with Layout.Unrepresentable _ -> escape_at layout actions st
+  in
+  let expand_range ob lo wend =
+    let sc = Layout.scratch layout in
+    for gid = lo to wend - 1 do
+      expand_gid ob sc gid
     done
   in
   (* Parallel variant: one domain per producer-shard group.  Frontier
      segments are resident until sealed, so worker reads never fault a
      reload; lanes stay single-writer because each producer shard is
      expanded by exactly one domain.  Worker failures propagate (a
-     half-written lane is not recoverable the way a packed chunk is). *)
+     half-written lane is not recoverable the way a packed chunk is); a
+     domain escape is re-raised by a sequential pass over the window, so
+     the error names the first escaping source in gid order whatever the
+     worker count. *)
   let expand_parallel_sharded ob lo wend ~workers =
     let w = min workers k in
     let domains =
@@ -736,26 +749,8 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
               try
                 let sc = Layout.scratch layout in
                 for gid = lo to wend - 1 do
-                  let producer = Shard_store.shard_of store gid in
-                  if producer mod w = d then begin
-                    Detcor_robust.Budget.tick ();
-                    let rank = Shard_store.rank_of store gid in
-                    Layout.unpack_into layout sc rank;
-                    let st = State.scratch_copy sc in
-                    let pos = ref 0 in
-                    Array.iteri
-                      (fun aid ac ->
-                        List.iter
-                          (fun st' ->
-                            let rank' =
-                              Layout.pack_from layout ~src_rank:rank st st'
-                            in
-                            Shard_store.Outbox.put ob ~producer ~gid ~pos:!pos
-                              ~aid ~rank:rank';
-                            incr pos)
-                          (Action.execute ac st))
-                      actions
-                  end
+                  if Shard_store.shard_of store gid mod w = d then
+                    expand_gid ob sc gid
                 done;
                 if Obs.on () then
                   Metrics.incr ~by:(wend - lo) m_par_expanded;
@@ -763,7 +758,16 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
               with e -> Error e))
     in
     let results = List.map Stdlib.Domain.join domains in
-    List.iter (function Ok () -> () | Error e -> raise e) results
+    List.iter
+      (function
+        | Ok () -> ()
+        | Error
+            (Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Type_error _)
+             as e) ->
+          expand_range (Shard_store.Outbox.create store) lo wend;
+          raise e
+        | Error e -> raise e)
+      results
   in
   let ob = Shard_store.Outbox.create store in
   (try
@@ -813,32 +817,19 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
     Metrics.incr ~by:(Shard_store.num_states store) m_states;
     Metrics.incr ~by:(Shard_store.num_edges store) m_edges
   end;
-  {
-    program;
-    states = [||];
-    actions;
-    row_ptr = [| 0 |];
-    edge_action = [||];
-    edge_target = [||];
-    initials;
-    lookup =
-      (fun st ->
-        match Layout.pack_opt layout st with
-        | None -> None
-        | Some rank -> Shard_store.find store rank);
-    layout = Some layout;
-    cached = true;
-    shard = Some store;
-    pred_cache = Hashtbl.create 16;
-    enabled_cache = Array.make (Array.length actions) None;
-    fallback_reason = None;
-  }
+  make_system program actions ~states:[||] ~row_ptr:[| 0 |] ~edge_action:[||]
+    ~edge_target:[||] ~initials
+    ~lookup:(fun st ->
+      match Layout.pack_opt layout st with
+      | None -> None
+      | Some rank -> Shard_store.find store rank)
+    ~layout ~shard:(Some store)
 
 (* Seed rank sets for the three construction surfaces.  Sorting by rank
    is sorting by [State.compare] (the [Layout] invariant), so initials
-   match the other engines. *)
+   match the packed mode. *)
 let sharded_of_states layout from =
-  let ranks = List.map (Layout.pack layout) from in
+  let ranks = List.map (pack_initial layout) from in
   Array.of_list (List.sort_uniq Int.compare ranks)
 
 let sharded_of_pred layout from =
@@ -849,40 +840,14 @@ let sharded_of_pred layout from =
       incr rank);
   Array.of_list (List.rev !buf)
 
-let sharded_all_ranks layout =
-  Array.init (Layout.space layout) Fun.id
-
 (* ------------------------------------------------------------------ *)
 (* Engine dispatch.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let default_engine = Auto
-
-let engine_name = function
-  | Auto -> "auto"
-  | Packed -> "packed"
-  | Reference -> "reference"
-  | Sharded -> "sharded"
-
-let overflow_reason = "product space size overflows the packed rank range"
-
-let escape_message () =
-  match Layout.escape_reason () with
-  | Some e -> Fmt.str "%a" Layout.pp_escape e
-  | None -> "a state escaped the declared layout"
-
-(* Record an Auto→Reference fallback on the built system and in Obs. *)
-let fell_back reason ts =
-  ts.fallback_reason <- Some reason;
-  if Obs.on () then begin
-    Metrics.incr m_fallbacks;
-    Obs.event "ts.fallback" ~level:Attr.Warn
-      ~attrs:[ Attr.str "reason" reason ]
-  end;
-  ts
+let engine_name = function Packed -> "packed" | Sharded -> "sharded"
 
 (* Wrap a construction entry point in a span annotated, on completion,
-   with the size of what was built. *)
+   with the size of what was built; [f] receives the program's layout. *)
 let build_span op program engine f =
   Obs.span "ts.build"
     ~attrs:
@@ -892,7 +857,7 @@ let build_span op program engine f =
         Attr.str "engine" (engine_name engine);
       ]
     (fun () ->
-      let ts = f () in
+      let ts = f (Layout.compile program) in
       if Obs.on () then begin
         let states, edges =
           match ts.shard with
@@ -900,89 +865,36 @@ let build_span op program engine f =
             (Shard_store.num_states store, Shard_store.num_edges store)
           | None -> (Array.length ts.states, ts.row_ptr.(Array.length ts.states))
         in
-        Obs.annotate
-          [
-            Attr.int "states" states;
-            Attr.int "edges" edges;
-            Attr.bool "packed" (ts.layout <> None);
-          ]
+        Obs.annotate [ Attr.int "states" states; Attr.int "edges" edges ]
       end;
       ts)
 
-let build ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  build_span "build" program engine (fun () ->
+let build ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
+    ~from =
+  build_span "build" program engine (fun layout ->
       match engine with
-      | Reference -> build_reference ~limit program ~from
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_of_states layout from))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else fell_back overflow_reason (build_reference ~limit program ~from)
-        | Some layout -> (
-          try build_packed ~limit ~workers layout program ~from with
-          | Layout.Unrepresentable when engine = Auto ->
-            (* Some state steps outside the declared domains: the layout
-               does not apply, fall back to the seed path. *)
-            fell_back (escape_message ())
-              (build_reference ~limit program ~from))))
+      | Packed -> build_packed ~limit ~workers layout program ~from
+      | Sharded ->
+        build_sharded ~limit ~workers layout program
+          ~seed_ranks:(sharded_of_states layout from))
 
-let full ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program =
+let full ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program =
   if Program.space_size program > limit then raise (Too_large limit);
-  build_span "full" program engine (fun () ->
+  build_span "full" program engine (fun layout ->
       match engine with
-      | Reference ->
-        build_reference ~limit program ~from:(Program.states program)
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_all_ranks layout))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else
-            fell_back overflow_reason
-              (build_reference ~limit program ~from:(Program.states program))
-        | Some layout -> (
-          try full_packed ~limit ~workers layout program
-          with Layout.Unrepresentable when engine = Auto ->
-            fell_back (escape_message ())
-              (build_reference ~limit program ~from:(Program.states program)))))
+      | Packed -> full_packed ~limit ~workers layout program
+      | Sharded ->
+        build_sharded ~limit ~workers layout program
+          ~seed_ranks:(Array.init (Layout.space layout) Fun.id))
 
-let of_pred ?(limit = default_limit) ?(engine = default_engine) ?(workers = 1)
-    program ~from =
-  build_span "of_pred" program engine (fun () ->
-      let reference () =
-        build_reference ~limit program
-          ~from:(List.filter (Pred.holds from) (Program.states program))
-      in
+let of_pred ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
+    ~from =
+  build_span "of_pred" program engine (fun layout ->
       match engine with
-      | Reference -> reference ()
-      | Sharded -> (
-        match Layout.of_program program with
-        | None -> raise Layout.Unrepresentable
-        | Some layout ->
-          build_sharded ~limit ~workers layout program
-            ~seed_ranks:(sharded_of_pred layout from))
-      | Packed | Auto -> (
-        match Layout.of_program program with
-        | None ->
-          if engine = Packed then raise Layout.Unrepresentable
-          else fell_back overflow_reason (reference ())
-        | Some layout -> (
-          try of_pred_packed ~limit ~workers layout program ~from with
-          | Layout.Unrepresentable when engine = Auto ->
-            fell_back (escape_message ()) (reference ()))))
+      | Packed -> of_pred_packed ~limit ~workers layout program ~from
+      | Sharded ->
+        build_sharded ~limit ~workers layout program
+          ~seed_ranks:(sharded_of_pred layout from))
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)
@@ -1000,13 +912,13 @@ let num_states ts =
 let state ts i =
   match ts.shard with
   | Some store ->
-    Layout.unpack (Option.get ts.layout) (Shard_store.rank_of store i)
+    Layout.unpack ts.layout (Shard_store.rank_of store i)
   | None -> ts.states.(i)
 
 let states ts =
   match ts.shard with
   | Some store ->
-    let layout = Option.get ts.layout in
+    let layout = ts.layout in
     let acc = ref [] in
     Shard_store.iter_ranks store (fun _ rank ->
         acc := Layout.unpack layout rank :: !acc);
@@ -1017,15 +929,7 @@ let initials ts = ts.initials
 let actions ts = ts.actions
 let num_actions ts = Array.length ts.actions
 let action ts i = ts.actions.(i)
-let layout ts = ts.layout
 
-let engine_of ts =
-  match (ts.shard, ts.layout) with
-  | Some _, _ -> Sharded
-  | None, Some _ -> Packed
-  | None, None -> Reference
-
-let fallback_reason ts = ts.fallback_reason
 
 let shard_stats ts =
   match ts.shard with
@@ -1156,18 +1060,15 @@ let iter_in rev j f =
 (* Cached predicate and guard queries.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [pred_bitset ts pred]: the bitset of states satisfying [pred].  On a
-   packed system the sweep runs once per predicate instance and is cached;
-   on a reference system a fresh bitset is computed on every call (the
-   reference engine preserves the seed path's evaluate-on-query behavior
-   for [holds_at]). *)
+(* [pred_bitset ts pred]: the bitset of states satisfying [pred].  The
+   sweep runs once per predicate instance and is memoized. *)
 let pred_bitset ts pred =
   let compute () =
     match ts.shard with
     | Some store ->
       (* One gid-order sweep decoding ranks into a scratch buffer: no
          state allocation per visit, spilled segments stream through. *)
-      let layout = Option.get ts.layout in
+      let layout = ts.layout in
       let sc = Layout.scratch layout in
       let bits = Bitset.create (Shard_store.num_states store) in
       Shard_store.iter_ranks store (fun gid rank ->
@@ -1182,29 +1083,25 @@ let pred_bitset ts pred =
       done;
       bits
   in
-  if not ts.cached then compute ()
-  else
-    let key = Pred.id pred in
-    match Hashtbl.find_opt ts.pred_cache key with
-    | Some bits ->
-      if Obs.on () then Metrics.incr m_pred_hits;
-      bits
-    | None ->
-      if Obs.on () then Metrics.incr m_pred_misses;
-      let bits = compute () in
-      Hashtbl.add ts.pred_cache key bits;
-      bits
+  let key = Pred.id pred in
+  match Hashtbl.find_opt ts.pred_cache key with
+  | Some bits ->
+    if Obs.on () then Metrics.incr m_pred_hits;
+    bits
+  | None ->
+    if Obs.on () then Metrics.incr m_pred_misses;
+    let bits = compute () in
+    Hashtbl.add ts.pred_cache key bits;
+    bits
 
-let holds_at ts pred i =
-  if ts.cached then Bitset.get (pred_bitset ts pred) i
-  else Pred.holds pred ts.states.(i)
+let holds_at ts pred i = Bitset.get (pred_bitset ts pred) i
 
 let enabled_bitset ts aid =
   let compute () =
     let guard = Action.guard ts.actions.(aid) in
     match ts.shard with
     | Some store ->
-      let layout = Option.get ts.layout in
+      let layout = ts.layout in
       let sc = Layout.scratch layout in
       let bits = Bitset.create (Shard_store.num_states store) in
       Shard_store.iter_ranks store (fun gid rank ->
@@ -1219,25 +1116,21 @@ let enabled_bitset ts aid =
       done;
       bits
   in
-  if not ts.cached then compute ()
-  else
-    match ts.enabled_cache.(aid) with
-    | Some bits ->
-      if Obs.on () then Metrics.incr m_enabled_hits;
-      bits
-    | None ->
-      if Obs.on () then Metrics.incr m_enabled_misses;
-      let bits = compute () in
-      ts.enabled_cache.(aid) <- Some bits;
-      bits
+  match ts.enabled_cache.(aid) with
+  | Some bits ->
+    if Obs.on () then Metrics.incr m_enabled_hits;
+    bits
+  | None ->
+    if Obs.on () then Metrics.incr m_enabled_misses;
+    let bits = compute () in
+    ts.enabled_cache.(aid) <- Some bits;
+    bits
 
 (* [enabled ts i aid]: is action [aid] enabled at state [i]?  Computed from
    the guard, not from edges: an enabled action always yields at least one
    successor in this framework, but checking the guard is cheaper than
    scanning edges and also correct for actions with empty statements. *)
-let enabled ts i aid =
-  if ts.cached then Bitset.get (enabled_bitset ts aid) i
-  else Action.enabled ts.actions.(aid) ts.states.(i)
+let enabled ts i aid = Bitset.get (enabled_bitset ts aid) i
 
 let deadlocked ts i =
   let n = Array.length ts.actions in
@@ -1247,21 +1140,12 @@ let deadlocked ts i =
   go 0
 
 let satisfying ts pred =
-  if ts.cached then begin
-    let bits = pred_bitset ts pred in
-    let result = ref [] in
-    for i = num_states ts - 1 downto 0 do
-      if Bitset.get bits i then result := i :: !result
-    done;
-    !result
-  end
-  else begin
-    let result = ref [] in
-    Array.iteri
-      (fun i st -> if Pred.holds pred st then result := i :: !result)
-      ts.states;
-    List.rev !result
-  end
+  let bits = pred_bitset ts pred in
+  let result = ref [] in
+  for i = num_states ts - 1 downto 0 do
+    if Bitset.get bits i then result := i :: !result
+  done;
+  !result
 
 let pp_stats ppf ts =
   Fmt.pf ppf "%d states, %d transitions, %d actions" (num_states ts)

@@ -5,35 +5,32 @@
     (compressed sparse row) arrays.  All decision procedures (closure,
     convergence, leads-to, fairness, safety) run on this structure.
 
-    Three engines build the same structure and produce identical state
-    numbering, edges and initials:
+    One engine explores, in two residency modes that produce identical
+    state numbering, edges and initials:
 
-    - {!Packed} (chosen by {!Auto} whenever the program's declared domains
-      cover the explored states): a {!Layout} packs each state into a
-      single integer rank for interning, and predicate / guard sweeps are
-      cached in per-system bitsets, so {!holds_at} and {!enabled} answer in
-      O(1) after one sweep.  Frontier expansion can run on OCaml 5 domains
+    - {!Packed} (the default): a {!Layout} packs each state into a single
+      integer rank for interning, and predicate / guard sweeps are memoized
+      in per-system bitsets, so {!holds_at} and {!enabled} answer in O(1)
+      after one sweep.  Frontier expansion can run on OCaml 5 domains
       ([?workers]) with a deterministic in-order merge.
-    - {!Reference}: the seed list-based path (map-keyed interning, direct
-      predicate evaluation on every query), kept as the fallback for
-      programs whose actions step outside their declared domains and as the
-      oracle for differential testing.
-    - {!Sharded}: the out-of-core engine for explorations past RAM — state
+    - {!Sharded}: the out-of-core mode for explorations past RAM — state
       and CSR arenas are hash-partitioned into shards whose level-aligned
       segments spill to checksummed files under a spill directory (see
       {!set_shard_defaults}), reloading on demand.  Exploration order is
-      identical to {!Packed}; only residency differs. *)
+      identical to {!Packed}; only residency differs.
+
+    Every explored state must lie inside the program's declared domains.
+    A step that leaves them raises [Detcor_robust.Error.Type_error] naming
+    the action, the source state and the escaped variable and value; a
+    product too large for the rank range is reported the same way. *)
 
 open Detcor_kernel
 
 type t
 
-(** Engine selection: [Auto] uses the packed engine and falls back to the
-    reference engine when the program's states do not fit a {!Layout};
-    [Packed] insists (raising {!Layout.Unrepresentable} otherwise);
-    [Reference] forces the seed path; [Sharded] (never chosen by [Auto])
-    forces the out-of-core engine and, like [Packed], requires a layout. *)
-type engine = Auto | Packed | Reference | Sharded
+(** Residency mode: [Packed] (the default) keeps the explored system in
+    flat in-memory arrays; [Sharded] uses the out-of-core store. *)
+type engine = Packed | Sharded
 
 exception Too_large of int
 
@@ -56,7 +53,9 @@ val shard_defaults : unit -> int * string option * int
     Every recorded state is reachable from [from].  [workers] > 1 expands
     large frontiers on that many OCaml domains (the result is identical to
     the sequential build); actions and predicates must then be pure.
-    @raise Too_large if more than [limit] states are encountered. *)
+    @raise Too_large if more than [limit] states are encountered.
+    @raise Detcor_robust.Error.Detcor_error ([Type_error]) if an initial
+    state or an explored successor lies outside the declared domains. *)
 val build :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t ->
   from:State.t list -> t
@@ -78,22 +77,30 @@ val actions : t -> Action.t array
 val num_actions : t -> int
 val action : t -> int -> Action.t
 
-(** The layout compiled for this system, when the packed engine built it. *)
-val layout : t -> Layout.t option
-
-(** Which engine actually built this system ({!Packed}, {!Reference} or
-    {!Sharded}). *)
-val engine_of : t -> engine
-
 val engine_name : engine -> string
 
-(** Why an [Auto] build fell back to the reference engine, when it did:
-    a human-readable diagnosis (layout overflow, or which variable / value
-    escaped its declared domain).  [None] when no fallback happened. *)
-val fallback_reason : t -> string option
+(** [escape_error ~action ~src e] raises the located type error for a step
+    of [action] from [src] whose successor does not fit the layout. *)
+val escape_error : action:string -> src:State.t -> Layout.escape -> 'a
+
+(** [assemble program ~states ~row_ptr ~edge_action ~edge_target
+    ~initials ~lookup] wraps a graph explored outside this module — the
+    list-based oracle the differential test suites compare against — as
+    a system.  The edges of state [i] are
+    [edge_action.(k), edge_target.(k)] for [k] in
+    [row_ptr.(i) .. row_ptr.(i+1) - 1]. *)
+val assemble :
+  Program.t ->
+  states:State.t array ->
+  row_ptr:int array ->
+  edge_action:int array ->
+  edge_target:int array ->
+  initials:int list ->
+  lookup:(State.t -> int option) ->
+  t
 
 (** For a sharded system, [(shard count, spills, spilled bytes,
-    reloads)]; [None] for the other engines. *)
+    reloads)]; [None] for a packed one. *)
 val shard_stats : t -> (int * int * int * int) option
 
 val num_edges : t -> int
@@ -130,13 +137,12 @@ val reverse : ?keep:(int -> bool) -> t -> reverse
     of state [j], without allocating. *)
 val iter_in : reverse -> int -> (int -> int -> unit) -> unit
 
-(** [pred_bitset ts pred]: bitset of the states satisfying [pred].  Cached
-    per predicate instance on packed systems; computed afresh on reference
-    systems. *)
+(** [pred_bitset ts pred]: bitset of the states satisfying [pred], memoized
+    per predicate instance. *)
 val pred_bitset : t -> Pred.t -> Bitset.t
 
 (** [enabled_bitset ts aid]: bitset of the states where action [aid]'s
-    guard holds; cached like {!pred_bitset}. *)
+    guard holds; memoized like {!pred_bitset}. *)
 val enabled_bitset : t -> int -> Bitset.t
 
 (** [enabled ts i aid]: guard of action [aid] true at state [i]. *)

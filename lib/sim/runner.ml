@@ -161,3 +161,22 @@ let sample ?(config = default) n program ~faults ~policy ~init =
     let runs = List.rev !acc in
     Detcor_robust.Checkpoint.complete phase (Marshal.to_string runs []);
     runs
+
+(* The simulator executes actions directly, without the engine's layout:
+   hold every sampled step to [program]'s declared domains the way
+   exploration does, raising the same located error at the first step
+   (in run order) that leaves them. *)
+let check_domains program runs =
+  let layout = Layout.compile program in
+  List.iter
+    (fun r ->
+      ignore
+        (List.fold_left
+           (fun src (step : Trace.step) ->
+             (match Layout.pack layout step.target with
+             | _ -> ()
+             | exception Layout.Unrepresentable e ->
+               Ts.escape_error ~action:step.action ~src e);
+             step.target)
+           (Trace.start r.trace) (Trace.steps r.trace)))
+    runs

@@ -113,10 +113,10 @@ let of_seq t count states =
            match !prev with
            | Some (src, src_rank) -> (
              try Some (Layout.pack_from p.layout ~src_rank src st)
-             with Layout.Unrepresentable -> None)
+             with Layout.Unrepresentable _ -> None)
            | None -> (
              try Some (Layout.pack p.layout st)
-             with Layout.Unrepresentable -> None)
+             with Layout.Unrepresentable _ -> None)
          with
         | Some rank ->
           if not (Bitset.get p.known rank) then begin

@@ -20,16 +20,12 @@
     into layering edge bans and forced moves.  Final verification remains
     the soundness gate.
 
-    The synthesizer mirrors {!Detcor_semantics.Ts}'s engine split: when
-    the explored system was built by the packed engine, the [ms]/[mt]
-    fixpoints, detection guards, invariant recomputation and recovery
-    layering all run on integer state indices (bitsets, reverse-CSR
-    adjacency, frontier queues, optional domain-parallel scans); the seed
-    closure-based path remains as the [Reference] oracle.  Both paths
-    synthesize extensionally identical programs and reports.  [Auto]
-    dispatch additionally applies a work crossover ({!auto_min_work}):
-    instances too small to amortize layout compilation stay on the
-    reference path. *)
+    The [ms]/[mt] fixpoints, detection guards, invariant recomputation and
+    recovery layering all run on integer state indices (bitsets,
+    reverse-CSR adjacency, frontier queues, optional domain-parallel
+    scans) through the public {!Detcor_semantics.Ts} API, so they serve
+    both of its residency modes unchanged.  The seed closure-based
+    implementation is kept under [test/] as the differential oracle. *)
 
 open Detcor_kernel
 open Detcor_spec
@@ -61,11 +57,6 @@ type result = {
           program was reached (0: first layering verified) *)
 }
 
-(** Minimum estimated work (product space of [p [] F] times action count)
-    below which [Auto] dispatch stays on the reference path, the synthesis
-    analogue of {!Detcor_sim.Syndrome}'s work crossover. *)
-val auto_min_work : int
-
 (** Candidate recovery steps from a state: the states differing from it
     in at most [step_vars] (1 or 2) of [p]'s declared variables, within
     their declared domains, deduplicated and excluding the state itself.
@@ -74,10 +65,11 @@ val neighbors : step_vars:int -> Program.t -> State.t -> State.t list
 
 (** Strengthen every action with its weakest detection predicate for the
     [ms/mt]-extended safety specification; recompute the invariant.
-    [engine] selects the synthesis path exactly as it selects the
-    {!Detcor_semantics.Ts} engine (default [Auto]); [workers] > 1
-    additionally fans packed exploration and recovery scans out over that
-    many OCaml domains. *)
+    [engine] is the residency mode of every {!Detcor_semantics.Ts} build
+    (default [Packed]); [workers] > 1 fans exploration and recovery scans
+    out over that many OCaml domains.  A program stepping outside its
+    declared domains raises the located type error of
+    {!Detcor_semantics.Ts.build}. *)
 val add_failsafe :
   ?limit:int ->
   ?engine:Detcor_semantics.Ts.engine ->

@@ -4,7 +4,8 @@
    n processes advance through P phases; the barrier property says a
    process may enter phase k+1 only when no peer is still below phase k.
    Variables: ph.i in 0..P-1 (terminating computation; the run ends when
-   everyone reaches P-1).
+   everyone reaches P-1), plus the fault class's restart counter
+   [losses] in 0..n, which the programs declare but never write.
 
    - the intolerant program caches the barrier check: a process first
      *detects* "nobody is behind me" into a flag done.i, then advances on
@@ -54,6 +55,14 @@ let phvar = memo_var "ph"
 
 let vars cfg =
   List.init cfg.processes (fun i -> (phvar i, Domain.range 0 (cfg.phases - 1)))
+  @ [ ("losses", Domain.range 0 cfg.processes) ]
+
+(* Restarts so far (states that do not bind the counter, as built by hand
+   in tests, count as none). *)
+let losses st =
+  match State.find_opt st "losses" with Some (Value.Int n) -> n | _ -> 0
+
+let no_losses = Pred.make "no losses" (fun st -> losses st = 0)
 
 let phase st i = Value.as_int (State.get st (phvar i))
 
@@ -127,6 +136,7 @@ let intolerant_invariant cfg =
   let flags = List.map (fun i -> (done_flag i, is_minimum cfg i)) procs in
   Pred.make "window /\\ fresh flags" (fun st ->
       Pred.holds window st
+      && Pred.holds no_losses st
       && List.for_all
            (fun (flag, minimum) ->
              (not (Pred.holds flag st)) || Pred.holds minimum st)
@@ -148,27 +158,22 @@ let tolerant cfg =
 (* Phase loss: one process restarts at phase 0 (at most [max_losses]
    restarts, to keep the run terminating). *)
 let phase_loss ?(max_losses = 1) cfg =
+  if max_losses > cfg.processes then
+    invalid_arg "Barrier.phase_loss: at most one loss per process";
   let lost =
-    Pred.make "losses<limit" (fun st ->
-        match State.find_opt st "losses" with
-        | Some (Value.Int n) -> n < max_losses
-        | Some _ | None -> max_losses > 0)
+    Pred.make "losses<limit" (fun st -> losses st < max_losses)
   in
   let reset i =
     Action.deterministic
       (Fmt.str "F:restart-%d" i)
       lost
       (fun st ->
-        let n =
-          match State.find_opt st "losses" with
-          | Some (Value.Int n) -> n
-          | Some _ | None -> 0
-        in
-        State.set (State.set st (phvar i) (Value.int 0)) "losses" (Value.int (n + 1)))
+        State.set
+          (State.set st (phvar i) (Value.int 0))
+          "losses"
+          (Value.int (losses st + 1)))
   in
-  Fault.make "phase-loss"
-    ~aux_vars:[ ("losses", Domain.range 0 max_losses) ]
-    (List.map reset (procs cfg))
+  Fault.make "phase-loss" (List.map reset (procs cfg))
 
 (* SPEC_barrier: a process never enters phase k+1 while a peer is below
    phase k (bad transition: an advance that overtakes a laggard), and
@@ -187,7 +192,10 @@ let spec cfg =
     ~liveness:(Liveness.eventually ~name:"all complete" (all_done cfg))
     ()
 
-let invariant cfg = window cfg
+let invariant cfg =
+  let window = window cfg in
+  Pred.make "window /\\ no losses" (fun st ->
+      Pred.holds window st && Pred.holds no_losses st)
 
 (* The conceptual base program the tolerant barrier refines: advance
    whenever phases remain, with no safety guard at all.  The tolerant

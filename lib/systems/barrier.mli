@@ -17,7 +17,11 @@ type config = {
 val make_config : ?phases:int -> int -> config
 val default : config
 val phvar : int -> string
+
+(** The phase variables, plus [losses] in 0..n: the restart count the
+    phase-loss fault class keeps, which the programs never write. *)
 val vars : config -> (string * Domain.t) list
+
 val phase : State.t -> int -> int
 
 (** No two processes more than one phase apart. *)
@@ -31,19 +35,21 @@ val is_minimum : config -> int -> Pred.t
 (** Cached-witness variant: detect into [done.i], advance on the flag. *)
 val intolerant : config -> Program.t
 
-(** Its invariant: the window plus witness freshness. *)
+(** Its invariant: the window plus witness freshness, before any phase
+    loss. *)
 val intolerant_invariant : config -> Pred.t
 
 (** Fresh-witness variant — masking tolerant to phase loss. *)
 val tolerant : config -> Program.t
 
 (** Phase loss: a process restarts at phase 0 (at most [max_losses]
-    times). *)
+    times, at most one per process). *)
 val phase_loss : ?max_losses:int -> config -> Fault.t
 
 (** No barrier overtaking (safety); everyone completes (liveness). *)
 val spec : config -> Spec.t
 
+(** The window, before any phase loss ([losses] = 0). *)
 val invariant : config -> Pred.t
 
 (** The unguarded base program the tolerant barrier refines; the

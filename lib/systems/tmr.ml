@@ -93,25 +93,19 @@ let intolerant =
 (* Fault: corrupts at most one of the three inputs.                    *)
 (* ------------------------------------------------------------------ *)
 
-let no_input_faulted =
-  Pred.make "no-input-faulted" (fun st ->
-      match State.find_opt st "faulted" with
-      | Some (Value.Bool b) -> not b
-      | Some _ | None -> true)
+(* A corruption strikes only while all three inputs agree, so at most one
+   input is ever corrupted — the state property the paper assumes —
+   without a bookkeeping variable outside the program's declared
+   product. *)
+let inputs_agree =
+  Pred.make "x=y=z" (fun st ->
+      Value.equal (v st "x") (v st "y") && Value.equal (v st "y") (v st "z"))
 
 let corrupt_input name =
-  Action.make
-    (Fmt.str "F:corrupt-%s" name)
-    no_input_faulted
-    (fun st ->
-      List.map
-        (fun value ->
-          State.set (State.set st name value) "faulted" (Value.bool true))
-        (Domain.values input_domain))
+  Action.corrupt (Fmt.str "F:corrupt-%s" name) inputs_agree name input_domain
 
 let one_corruption =
   Fault.make "one-input-corruption"
-    ~aux_vars:[ ("faulted", Domain.boolean) ]
     [ corrupt_input "x"; corrupt_input "y"; corrupt_input "z" ]
 
 (* ------------------------------------------------------------------ *)

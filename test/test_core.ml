@@ -328,6 +328,44 @@ let test_fault_composition () =
   Alcotest.(check (list string)) "action names" [ "F:page-fault" ]
     (Fault.action_names Memory.page_fault)
 
+(* [init_states ~limit] bounds the invariant states it collects, not the
+   product it sweeps: a large product with a one-state invariant passes a
+   tiny limit, and an invariant larger than the limit is the state budget
+   [Ts.build] reports, surfacing as the "enumerate invariant states"
+   Unknown (exit 3 from dcheck). *)
+let test_init_states_limit () =
+  let wide =
+    Program.make ~name:"wide"
+      ~vars:(List.map (fun x -> (x, Domain.range 0 19)) [ "a"; "b"; "c"; "d" ])
+      ~actions:[]
+  in
+  let origin =
+    Pred.make "origin" (fun st ->
+        List.for_all
+          (fun x -> Value.equal (State.get st x) (Value.int 0))
+          [ "a"; "b"; "c"; "d" ])
+  in
+  Alcotest.(check int) "160000-state product, limit 1" 1
+    (List.length (Tolerance.init_states ~limit:1 wide ~invariant:origin));
+  Alcotest.check_raises "invariant larger than the limit" (Ts.Too_large 3)
+    (fun () ->
+      ignore (Tolerance.init_states ~limit:3 Memory.masking ~invariant:Pred.true_));
+  let r =
+    Tolerance.check ~limit:1 Memory.masking ~spec:Memory.spec
+      ~invariant:Pred.true_ ~faults:Memory.page_fault ~tol:Spec.Masking
+  in
+  Alcotest.(check (list string)) "reported as one unknown obligation"
+    [ "enumerate invariant states" ]
+    (List.map (fun (it : Tolerance.item) -> it.label) (Tolerance.unknowns r));
+  let exit_code args =
+    Test_chaos.with_temp ".out" @@ fun out ->
+    Test_chaos.exit_code "limit" (Test_chaos.run_dcheck args ~out)
+  in
+  Alcotest.(check int) "ring5 invariant past --limit 3 exits 3" 3
+    (exit_code [ "verify"; "../examples/dc/ring5.dc"; "--limit"; "3" ]);
+  Alcotest.(check int) "wide product, one invariant state, --limit 10" 0
+    (exit_code [ "verify"; "fixtures/wide.dc"; "--limit"; "10" ])
+
 let suite =
   ( "core (memory access, Figures 1-3)",
     [
@@ -362,4 +400,6 @@ let suite =
       Alcotest.test_case "broken detector rejected" `Quick test_broken_detector;
       Alcotest.test_case "broken corrector rejected" `Quick test_broken_corrector;
       Alcotest.test_case "fault composition" `Quick test_fault_composition;
+      Alcotest.test_case "init_states honours limit" `Quick
+        test_init_states_limit;
     ] )

@@ -1,6 +1,7 @@
 (* Unit tests for the packed state-space engine: layout round-trips, the
-   bitset container, the predicate/guard caches, engine selection and
-   fallback, and determinism of the parallel build. *)
+   bitset container, the predicate/guard caches, the located error on a
+   domain escape (library and every dcheck subcommand), and determinism
+   of the parallel build. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -70,15 +71,19 @@ let test_layout_unrepresentable () =
   let l = layout () in
   let good = Layout.unpack l 0 in
   Alcotest.(check bool) "good state packs" true (Layout.pack_opt l good <> None);
+  let escape st = try ignore (Layout.pack l st); None with
+    | Layout.Unrepresentable e -> Some (Fmt.str "%a" Layout.pp_escape e)
+  in
   let extra = State.set good "zz" (Value.int 0) in
-  Alcotest.(check bool) "extra variable rejected" true
-    (Layout.pack_opt l extra = None);
+  Alcotest.(check (option string)) "extra variable rejected"
+    (Some "state binds undeclared variable zz") (escape extra);
   let missing = State.project good [ "a"; "b"; "n" ] in
-  Alcotest.(check bool) "missing variable rejected" true
-    (Layout.pack_opt l missing = None);
+  Alcotest.(check (option string)) "missing variable rejected"
+    (Some "state is missing declared variable s") (escape missing);
   let out_of_domain = State.set good "n" (Value.int 99) in
-  Alcotest.(check bool) "out-of-domain value rejected" true
-    (Layout.pack_opt l out_of_domain = None)
+  Alcotest.(check (option string)) "out-of-domain value rejected"
+    (Some "variable n escaped its declared domain (value 99)")
+    (escape out_of_domain)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
@@ -115,7 +120,6 @@ let test_bitset () =
 
 let test_pred_cache_coherence () =
   let ts = Ts.full program in
-  Alcotest.(check bool) "packed engine used" true (Ts.engine_of ts = Ts.Packed);
   let pred =
     Pred.make "a && n>0" (fun st ->
         Value.as_bool (State.get st "a") && Value.as_int (State.get st "n") > 0)
@@ -156,13 +160,13 @@ let test_enabled_cache_coherence () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection and fallback                                       *)
+(* Domain escapes                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let escaping =
-  (* An action that steps outside the declared domain of [n]: no layout can
-     represent its successors, so Auto must fall back to the reference
-     engine and still build the same system. *)
+  (* An action that steps outside the declared domain of [n]: no layout
+     can represent its successors, so every build stops with a located
+     type error naming the step. *)
   Program.make ~name:"escaping"
     ~vars:[ ("n", Domain.range 0 2) ]
     ~actions:
@@ -172,16 +176,130 @@ let escaping =
           (fun st -> State.set st "n" (Value.int (Value.as_int (State.get st "n") + 1)));
       ]
 
-let test_fallback_on_escape () =
+let escape_message =
+  "action inc steps from [n=2] outside the declared domains: variable n \
+   escaped its declared domain (value 3)"
+
+let type_error f =
+  match f () with
+  | _ -> None
+  | exception
+      Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Type_error { msg })
+    ->
+    Some msg
+
+let test_escape_located () =
   let from = [ State.of_list [ ("n", Value.int 0) ] ] in
-  let auto = Ts.build ~limit:100 escaping ~from in
-  Alcotest.(check bool) "auto falls back to reference" true
-    (Ts.engine_of auto = Ts.Reference);
-  let reference = Ts.build ~limit:100 ~engine:Ts.Reference escaping ~from in
-  Alcotest.(check int) "same states as reference" (Ts.num_states reference)
-    (Ts.num_states auto);
-  Alcotest.check_raises "packed engine refuses" Layout.Unrepresentable
-    (fun () -> ignore (Ts.build ~limit:100 ~engine:Ts.Packed escaping ~from))
+  let build engine () = Ts.build ~limit:100 ~engine escaping ~from in
+  Alcotest.(check (option string)) "packed build" (Some escape_message)
+    (type_error (build Ts.Packed));
+  Alcotest.(check (option string)) "sharded build" (Some escape_message)
+    (type_error (build Ts.Sharded));
+  Alcotest.(check (option string)) "packed full" (Some escape_message)
+    (type_error (fun () -> Ts.full escaping));
+  (* Wide enough for the parallel paths to fan out: the workers' first
+     escape in id order is the sequential loop's. *)
+  let wide =
+    Program.make ~name:"wide"
+      ~vars:(("m", Domain.range 0 15) :: Program.var_decls escaping)
+      ~actions:(Program.actions escaping)
+  in
+  let sequential = type_error (fun () -> Ts.full wide) in
+  Alcotest.(check bool) "wide program escapes" true (sequential <> None);
+  Alcotest.(check (option string)) "parallel full = sequential" sequential
+    (type_error (fun () -> Ts.full ~workers:3 wide));
+  Alcotest.(check (option string)) "parallel of_pred = sequential" sequential
+    (type_error (fun () -> Ts.of_pred ~workers:3 wide ~from:Pred.true_));
+  Alcotest.(check (option string)) "parallel sharded full = sequential"
+    sequential
+    (type_error (fun () -> Ts.full ~engine:Ts.Sharded ~workers:3 wide));
+  Alcotest.(check (option string)) "oracle predicts the message"
+    (Some escape_message)
+    (Detcor_oracle.Reference_ts.escape
+       (Detcor_oracle.Reference_ts.build escaping ~from));
+  let huge =
+    Program.make ~name:"huge"
+      ~vars:(List.init 40 (fun k -> (Fmt.str "v%02d" k, Domain.range 0 9)))
+      ~actions:[]
+  in
+  Alcotest.(check (option string)) "rank overflow"
+    (Some
+       "program huge: the product of its 40 declared domains overflows the \
+        packed rank range")
+    (type_error (fun () -> Ts.build huge ~from:[]));
+  Alcotest.(check (option string)) "initial state outside the domains"
+    (Some
+       "initial state [n=7] is outside the declared domains: variable n \
+        escaped its declared domain (value 7)")
+    (type_error (fun () ->
+         Ts.build escaping ~from:[ State.of_list [ ("n", Value.int 7) ] ]))
+
+(* The fixture [test/fixtures/escape.dc] declares [x : 0..3] and steps to
+   [x = 4]: every subcommand, on either engine where it takes one, exits 2
+   with the located message. *)
+let fixture = "fixtures/escape.dc"
+
+let fixture_message =
+  "dcheck: type error: action inc steps from [x=3] outside the declared \
+   domains: variable x escaped its declared domain (value 4)"
+
+let test_escape_cli () =
+  let run args =
+    Test_chaos.with_temp ".out" @@ fun out ->
+    let code = Test_chaos.exit_code "escape" (Test_chaos.run_dcheck args ~out) in
+    let lines =
+      In_channel.with_open_bin out In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    (code, List.nth_opt (List.rev lines) 0)
+  in
+  let expect label args =
+    let code, last = run args in
+    Alcotest.(check int) (label ^ ": exit code") 2 code;
+    Alcotest.(check (option string)) (label ^ ": message")
+      (Some fixture_message) last
+  in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun sub ->
+          expect
+            (Fmt.str "%s --engine %s" sub engine)
+            [ sub; fixture; "--engine"; engine ])
+        [ "verify"; "synthesize"; "info"; "simulate" ])
+    [ "packed"; "sharded" ];
+  List.iter
+    (fun sub -> expect sub [ sub; fixture ])
+    [ "graph"; "components"; "profile" ]
+
+(* [Program.well_formed] finds the same escape without exploring, by one
+   lazy sweep of the product, in action-major order. *)
+let test_well_formed_fixture () =
+  let e = Detcor_lang.Elaborate.load_file fixture in
+  Alcotest.(check (list string)) "escape fixture"
+    [ "action inc maps [x=3] out of domain ([x=4])" ]
+    (Program.well_formed e.program);
+  let two =
+    Program.make ~name:"two"
+      ~vars:[ ("n", Domain.range 0 2) ]
+      ~actions:
+        [
+          Action.deterministic "up"
+            (Pred.make "true" (fun _ -> true))
+            (fun st -> State.set st "n" (Value.int (Value.as_int (State.get st "n") + 2)));
+          Action.deterministic "down"
+            (Pred.make "true" (fun _ -> true))
+            (fun st -> State.set st "n" (Value.int (Value.as_int (State.get st "n") - 1)));
+        ]
+  in
+  Alcotest.(check (list string)) "grouped by action, product order"
+    [
+      "action up maps [n=1] out of domain ([n=3])";
+      "action up maps [n=2] out of domain ([n=4])";
+      "action down maps [n=0] out of domain ([n=-1])";
+    ]
+    (Program.well_formed two)
 
 let test_index_of_foreign_state () =
   let ts = Ts.full program in
@@ -205,14 +323,12 @@ let test_parallel_determinism () =
   let p = Detcor_systems.Token_ring.program cfg in
   let sequential = Ts.full ~workers:1 p in
   let parallel = Ts.full ~workers:4 p in
-  same_system "workers 4 = workers 1" sequential parallel;
-  Alcotest.(check bool) "parallel build is packed" true
-    (Ts.engine_of parallel = Ts.Packed)
+  same_system "workers 4 = workers 1" sequential parallel
 
 let test_parallel_matches_reference () =
   let cfg = Detcor_systems.Token_ring.make_config 4 in
   let p = Detcor_systems.Token_ring.program cfg in
-  let reference = Ts.full ~engine:Ts.Reference p in
+  let reference = Detcor_oracle.Reference_ts.full p in
   let parallel = Ts.full ~workers:3 p in
   same_system "parallel = reference" reference parallel
 
@@ -226,7 +342,12 @@ let suite =
       Alcotest.test_case "bitset" `Quick test_bitset;
       Alcotest.test_case "pred cache coherence" `Quick test_pred_cache_coherence;
       Alcotest.test_case "enabled cache coherence" `Quick test_enabled_cache_coherence;
-      Alcotest.test_case "fallback on domain escape" `Quick test_fallback_on_escape;
+      Alcotest.test_case "domain escape is a located error" `Quick
+        test_escape_located;
+      Alcotest.test_case "cli: domain escape exits 2 on every subcommand"
+        `Quick test_escape_cli;
+      Alcotest.test_case "well_formed on the escape fixture" `Quick
+        test_well_formed_fixture;
       Alcotest.test_case "index_of" `Quick test_index_of_foreign_state;
       Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
       Alcotest.test_case "parallel matches reference" `Quick

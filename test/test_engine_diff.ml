@@ -1,14 +1,17 @@
-(* Differential tests: the packed engine against the seed list-based path.
+(* Differential tests: the packed engine against the seed list-based
+   oracle ([Detcor_oracle.Reference_ts], under test/oracle).
 
    A generator of random guarded-command programs (five variables with
    mixed boolean / integer / symbolic domains, random guards from seeded
    decision tables, deterministic and nondeterministic statements, and an
-   optional action that escapes its declared domain to exercise the
-   reference fallback) drives three properties:
+   optional action that escapes its declared domain) drives three
+   properties:
 
-   - both engines produce identical state arrays, edge relations and
-     initial states, whether built from explicit states or from a predicate
-     over the product space;
+   - the engine and the oracle produce identical state arrays, edge
+     relations and initial states, whether built from explicit states or
+     from a predicate over the product space — or, when the oracle's
+     exploration leaves the declared domains, the engine raises exactly
+     the located error the oracle predicts;
    - [Check] and [Graph] procedures report identical outcomes on both;
    - [index_of] on the packed system inverts the numbering.
 
@@ -126,8 +129,8 @@ let build_action i = function
     Action.corrupt (Fmt.str "a%d" i) (pred_of_seed seed) x d
 
 (* The escape action drives [n] beyond its declared domain (bounded at 5 so
-   exploration terminates): the packed engine must detect it and fall back
-   to the reference path with identical results. *)
+   the oracle's exploration terminates): the engine must stop at the first
+   escaping step with the located error. *)
 let escape_action =
   Action.deterministic "escape"
     (Pred.make "n<5" (fun st -> Value.as_int (State.get st "n") < 5))
@@ -165,6 +168,27 @@ let with_inits_arb =
 (* Structural equality of two built systems, including numbering. *)
 let equal_system = Util.ts_equal
 
+module Oracle = Detcor_oracle.Reference_ts
+
+(* [against_oracle reference build k]: run the production [build]; when
+   the oracle's exploration [reference] stays inside the declared domains
+   the build must succeed and satisfy [k], otherwise it must raise the
+   located error the oracle predicts. *)
+let against_oracle reference build k =
+  let expected = Oracle.escape reference in
+  match build () with
+  | ts -> (
+    match expected with
+    | None -> k ts
+    | Some msg -> QCheck.Test.fail_reportf "explored past the escape: %s" msg)
+  | exception
+      Detcor_robust.Error.Detcor_error (Detcor_robust.Error.Type_error { msg })
+    ->
+    expected = Some msg
+    || QCheck.Test.fail_reportf "located error %S, oracle predicts %a" msg
+         Fmt.(option ~none:(any "none") string)
+         expected
+
 let outcome_str o = Fmt.str "%a" Check.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
@@ -177,12 +201,14 @@ let prop_build_identical =
       let p = build_program rp in
       (* Duplicate initials exercise the sort-uniq path of both engines. *)
       let from = inits @ inits in
-      let reference = Ts.build ~engine:Ts.Reference p ~from in
-      let packed = Ts.build ~engine:Ts.Auto p ~from in
-      equal_system reference packed
-      && List.for_all
-           (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
-           (List.init (Ts.num_states reference) Fun.id))
+      let reference = Oracle.build p ~from in
+      against_oracle reference
+        (fun () -> Ts.build p ~from)
+        (fun packed ->
+          equal_system reference packed
+          && List.for_all
+               (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
+               (List.init (Ts.num_states reference) Fun.id)))
 
 let prop_of_pred_identical =
   let arb =
@@ -194,9 +220,10 @@ let prop_of_pred_identical =
     (fun (rp, seed) ->
       let p = build_program rp in
       let from = pred_of_seed seed in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let packed = Ts.of_pred ~engine:Ts.Auto p ~from in
-      equal_system reference packed)
+      let reference = Oracle.of_pred p ~from in
+      against_oracle reference
+        (fun () -> Ts.of_pred p ~from)
+        (equal_system reference))
 
 let prop_checks_identical =
   let arb =
@@ -212,8 +239,8 @@ let prop_checks_identical =
     (fun ((rp, s1), s2) ->
       let p = build_program rp in
       let from = pred_of_seed s1 in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let packed = Ts.of_pred ~engine:Ts.Auto p ~from in
+      let reference = Oracle.of_pred p ~from in
+      against_oracle reference (fun () -> Ts.of_pred p ~from) @@ fun packed ->
       let p1 = pred_of_seed s2 and p2 = pred_of_seed (s2 lxor 0x2a) in
       let same_outcome f = outcome_str (f reference) = outcome_str (f packed) in
       same_outcome (fun ts -> Check.closed ts p1)

@@ -5,13 +5,13 @@
    shape as the packed differential (reusing its random-program
    generators) plus the knobs unique to sharding:
 
-   - reference = sharded on 200+ random programs, under a shard-count
-     sweep (K = 1, 2, 8);
+   - oracle = sharded on 200+ random programs, under a shard-count
+     sweep (K = 1, 2, 8), against the list-based oracle under test/oracle;
    - a spill-forced mode (zero arena budget into a temp directory) that
      must spill at least once and still agree byte-for-byte;
-   - escape programs: the sharded engine, like the strict packed engine,
-     refuses states outside the layout (Layout.Unrepresentable) exactly
-     when the auto engine would have fallen back to the reference path;
+   - escape programs: the sharded engine, like the packed one, stops at
+     the first step outside the declared domains with exactly the located
+     error the oracle predicts;
    - SIGKILL chaos through the dcheck CLI while spilling, resumed to a
      byte-identical verdict (reusing the chaos harness);
    - word-parallel Bitset bulk operations against their bit-at-a-time
@@ -45,16 +45,9 @@ let with_temp_dir k =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> k dir)
 
-(* The sharded engine on an escaping exploration must behave like the
-   strict packed engine: raise [Layout.Unrepresentable] precisely when
-   the auto engine downgraded to the reference path. *)
-let sharded_build f ~auto =
-  match f () with
-  | ts -> Some ts
-  | exception Layout.Unrepresentable ->
-    if Ts.engine_of auto = Ts.Reference && Ts.fallback_reason auto <> None then
-      None
-    else Alcotest.fail "sharded raised Unrepresentable but auto did not fall back"
+let against_oracle = Test_engine_diff.against_oracle
+
+module Oracle = Detcor_oracle.Reference_ts
 
 let shards_arb =
   QCheck.make
@@ -65,25 +58,22 @@ let shards_arb =
     QCheck.Gen.(pair Test_engine_diff.with_inits_gen (oneofl [ 1; 2; 8 ]))
 
 (* K-sweep identity on explicit initials: numbering, edges, initials and
-   lookup all equal to the reference engine's, for 1, 2 and 8 shards. *)
+   lookup all equal to the oracle's, for 1, 2 and 8 shards. *)
 let prop_build_identical =
   Util.qtest ~count:210 "sharded build = reference build (K=1,2,8)" shards_arb
     (fun ((rp, inits), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
-      let reference = Ts.build ~engine:Ts.Reference p ~from in
-      let auto = Ts.build ~engine:Ts.Auto p ~from in
+      let reference = Oracle.build p ~from in
       with_shards ~shards:k (fun () ->
-          match
-            sharded_build ~auto (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
-          with
-          | None -> true
-          | Some sharded ->
-            equal_system reference sharded
-            && List.for_all
-                 (fun i ->
-                   Ts.index_of sharded (Ts.state reference i) = Some i)
-                 (List.init (Ts.num_states reference) Fun.id)))
+          against_oracle reference
+            (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
+            (fun sharded ->
+              equal_system reference sharded
+              && List.for_all
+                   (fun i ->
+                     Ts.index_of sharded (Ts.state reference i) = Some i)
+                   (List.init (Ts.num_states reference) Fun.id))))
 
 let pred_arb =
   QCheck.make
@@ -101,15 +91,11 @@ let prop_of_pred_identical =
     (fun ((rp, seed), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed seed in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let auto = Ts.of_pred ~engine:Ts.Auto p ~from in
+      let reference = Oracle.of_pred p ~from in
       with_shards ~shards:k (fun () ->
-          match
-            sharded_build ~auto (fun () ->
-                Ts.of_pred ~engine:Ts.Sharded p ~from)
-          with
-          | None -> true
-          | Some sharded -> equal_system reference sharded))
+          against_oracle reference
+            (fun () -> Ts.of_pred ~engine:Ts.Sharded p ~from)
+            (equal_system reference)))
 
 (* Spill-forced identity: a zero arena budget into a temp directory makes
    every sealed segment spill; results must not change, and any run that
@@ -119,26 +105,22 @@ let prop_spill_forced =
     shards_arb (fun ((rp, inits), k) ->
       let p = Test_engine_diff.build_program rp in
       let from = inits @ inits in
-      let reference = Ts.build ~engine:Ts.Reference p ~from in
-      let auto = Ts.build ~engine:Ts.Auto p ~from in
+      let reference = Oracle.build p ~from in
       with_temp_dir (fun dir ->
           with_shards ~shards:k ~spill_dir:dir ~arena_mb:0 (fun () ->
-              match
-                sharded_build ~auto (fun () ->
-                    Ts.build ~engine:Ts.Sharded p ~from)
-              with
-              | None -> true
-              | Some sharded -> (
-                equal_system reference sharded
-                &&
-                match Ts.shard_stats sharded with
-                | None -> false
-                | Some (_, spills, bytes, _) ->
-                  Ts.num_states sharded = 0 || (spills > 0 && bytes > 0)))))
+              against_oracle reference
+                (fun () -> Ts.build ~engine:Ts.Sharded p ~from)
+                (fun sharded ->
+                  equal_system reference sharded
+                  &&
+                  match Ts.shard_stats sharded with
+                  | None -> false
+                  | Some (_, spills, bytes, _) ->
+                    Ts.num_states sharded = 0 || (spills > 0 && bytes > 0)))))
 
 (* Check procedures on a spilled system: predicates, reachability and
-   safety answers must match the reference engine even when every
-   segment access is a reload. *)
+   safety answers must match the oracle's even when every segment access
+   is a reload. *)
 let prop_checks_on_spilled =
   let arb =
     QCheck.make
@@ -153,16 +135,12 @@ let prop_checks_on_spilled =
     (fun ((rp, s1), s2) ->
       let p = Test_engine_diff.build_program rp in
       let from = Test_engine_diff.pred_of_seed s1 in
-      let reference = Ts.of_pred ~engine:Ts.Reference p ~from in
-      let auto = Ts.of_pred ~engine:Ts.Auto p ~from in
+      let reference = Oracle.of_pred p ~from in
       with_temp_dir (fun dir ->
           with_shards ~shards:2 ~spill_dir:dir ~arena_mb:0 (fun () ->
-              match
-                sharded_build ~auto (fun () ->
-                    Ts.of_pred ~engine:Ts.Sharded p ~from)
-              with
-              | None -> true
-              | Some sharded ->
+              against_oracle reference
+                (fun () -> Ts.of_pred ~engine:Ts.Sharded p ~from)
+              @@ fun sharded ->
                 let p1 = Test_engine_diff.pred_of_seed s2
                 and p2 = Test_engine_diff.pred_of_seed (s2 lxor 0x2a) in
                 let same f =
@@ -262,7 +240,17 @@ let test_cli_engine_flag () =
        ]);
   Alcotest.(check bool)
     "unknown engine rejected" true
-    (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; "warp" ] <> 0)
+    (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; "warp" ] <> 0);
+  (* Only the two residency modes remain: the retired spellings are
+     cmdliner parse errors, which dcheck reports with the usage exit
+     code 2. *)
+  List.iter
+    (fun engine ->
+      Alcotest.(check int)
+        (Fmt.str "--engine %s is a usage error" engine)
+        2
+        (run [ "verify"; "../examples/dc/ring5.dc"; "--engine"; engine ]))
+    [ "auto"; "reference" ]
 
 let suite =
   ( "sharded engine",

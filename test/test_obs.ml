@@ -1,7 +1,7 @@
 (* Tests for the observability layer (Detcor_obs): span nesting and
    ordering, histogram bucketing, sink well-formedness (both file formats
-   parse back), counter atomicity under the parallel engine, the
-   Auto-engine fallback diagnosis, and the regression that turning
+   parse back), counter atomicity under the parallel engine, the located
+   domain-escape error under recording, and the regression that turning
    observability on does not change any checker verdict. *)
 
 open Detcor_kernel
@@ -213,12 +213,12 @@ let test_parallel_engine_counters () =
       Alcotest.(check int) "deterministic across identical builds" d1 d2)
 
 (* ------------------------------------------------------------------ *)
-(* Auto-engine fallback diagnosis                                      *)
+(* Domain escapes under recording                                      *)
 (* ------------------------------------------------------------------ *)
 
 let escaping_program =
-  (* Declares n : 0..2 but steps to n=5: the packed engine's layout cannot
-     represent the successor, so Auto must fall back and say why. *)
+  (* Declares n : 0..2 but steps to n=5: no layout represents the
+     successor, so the build stops with a located type error. *)
   Program.make ~name:"escaper"
     ~vars:[ ("n", Domain.range 0 2) ]
     ~actions:
@@ -228,34 +228,32 @@ let escaping_program =
           (fun st -> State.set st "n" (Value.int 5));
       ]
 
-let test_fallback_reason () =
-  let before = Metrics.counter_value_by_name "engine.fallbacks" in
-  let ts =
-    recording [] (fun () ->
-        Ts.build ~engine:Ts.Auto escaping_program
-          ~from:[ State.of_list [ ("n", Value.int 0) ] ])
+(* Recording must not change the error, and the build span it unwinds
+   through must still close. *)
+let test_escape_error_recorded () =
+  let build () =
+    match
+      Ts.build escaping_program ~from:[ State.of_list [ ("n", Value.int 0) ] ]
+    with
+    | _ -> Alcotest.fail "an escaping build must not succeed"
+    | exception
+        Detcor_robust.Error.Detcor_error
+          (Detcor_robust.Error.Type_error { msg }) ->
+      msg
   in
-  Alcotest.(check bool) "fell back to the reference engine" true
-    (Ts.engine_of ts = Ts.Reference);
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
+  let expected =
+    "action jump steps from [n=0] outside the declared domains: variable n \
+     escaped its declared domain (value 5)"
   in
-  (match Ts.fallback_reason ts with
-  | None -> Alcotest.fail "fallback reason not recorded"
-  | Some reason ->
-    Alcotest.(check bool)
-      (Fmt.str "reason diagnoses the domain escape (%s)" reason)
-      true
-      (contains reason "variable n" && contains reason "domain"));
-  Alcotest.(check int) "fallback counted once"
-    (before + 1)
-    (Metrics.counter_value_by_name "engine.fallbacks");
-  (* A packed build that needs no fallback reports no reason. *)
-  let clean = Ts.full Detcor_systems.Tmr.masking in
-  Alcotest.(check bool) "no reason without fallback" true
-    (Ts.fallback_reason clean = None)
+  Alcotest.(check string) "located message, recording off" expected (build ());
+  let sink, records = Sink.memory () in
+  Alcotest.(check string) "located message, recording on" expected
+    (recording [ sink ] build);
+  let count f = List.length (List.filter f (records ())) in
+  Alcotest.(check int) "build span opened" 1
+    (count (function Sink.Begin b -> b.name = "ts.build" | _ -> false));
+  Alcotest.(check int) "build span closed" 1
+    (count (function Sink.End e -> e.name = "ts.build" | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Observability does not change verdicts                              *)
@@ -291,7 +289,8 @@ let suite =
         test_counter_atomicity_domains;
       Alcotest.test_case "parallel engine counters" `Quick
         test_parallel_engine_counters;
-      Alcotest.test_case "auto fallback reason" `Quick test_fallback_reason;
+      Alcotest.test_case "domain escape error under recording" `Quick
+        test_escape_error_recorded;
       Alcotest.test_case "verdicts identical on/off" `Quick
         test_verdicts_identical;
     ] )

@@ -1,23 +1,26 @@
-(* Differential tests: packed synthesis against the reference path.
+(* Differential tests: synthesis against the seed closure-based oracle
+   ([Detcor_oracle.Reference_synth], under test/oracle).
 
    Random fault-intolerant programs (four variables, seeded decision-table
    guards, deterministic / nondeterministic / corrupting actions), random
    sparse safety specifications (bad states, sometimes bad transitions),
    random invariants and random variable-corruption faults drive the three
-   transformations of {!Synthesize} on both engines.  The two paths must
+   transformations of {!Synthesize} and of the oracle.  The two must
    agree exactly: same outcome constructor, extensionally identical
-   synthesized programs (compared as fully built reference systems),
+   synthesized programs (compared as fully built oracle systems),
    identical recomputed (possibly weakened, under the same name)
    invariants, recovery-state counts, repair-iteration counts and
    verification reports, and — on failures — the same minimal
    unrecoverable state or report.  Together the properties run 300 random
-   programs per test execution. *)
+   programs per test execution, plus worker-count and sharded-residency
+   agreement on 30 each. *)
 
 open Detcor_kernel
 open Detcor_semantics
 open Detcor_spec
 open Detcor_core
 open Detcor_synthesis
+module Oracle = Detcor_oracle.Reference_synth
 
 let bool_dom = Domain.boolean
 let n_dom = Domain.range 0 2
@@ -157,14 +160,14 @@ let build_faults inst =
 let report_str r = Fmt.str "%a" Tolerance.pp_report r
 
 (* Extensional equality of two synthesis outcomes.  Programs are compared
-   as fully built reference systems (states, edges, action names), the
+   as fully built oracle systems (states, edges, action names), the
    invariants on the program's product space, and the reports as rendered
    text (subject, span and invariant sizes, per-obligation outcomes). *)
 let same_outcome p r_ref r_pk =
   match (r_ref, r_pk) with
   | Ok (a : Synthesize.result), Ok (b : Synthesize.result) ->
-    let ts_a = Ts.full ~engine:Ts.Reference a.program in
-    let ts_b = Ts.full ~engine:Ts.Reference b.program in
+    let ts_a = Detcor_oracle.Reference_ts.full a.program in
+    let ts_b = Detcor_oracle.Reference_ts.full b.program in
     Util.ts_equal ts_a ts_b
     && Program.name a.program = Program.name b.program
     && Pred.equal_on ~universe:(Program.states p) a.invariant b.invariant
@@ -189,7 +192,7 @@ let outcome_tag = function
 let agree p r_ref r_pk =
   if same_outcome p r_ref r_pk then true
   else
-    QCheck.Test.fail_reportf "engines disagree: reference=%s packed=%s"
+    QCheck.Test.fail_reportf "paths disagree: expected=%s actual=%s"
       (outcome_tag r_ref) (outcome_tag r_pk)
 
 let prop_failsafe =
@@ -199,10 +202,7 @@ let prop_failsafe =
       let spec = build_spec inst in
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
-      let r_ref =
-        Synthesize.add_failsafe ~engine:Ts.Reference p ~spec ~invariant
-          ~faults
-      in
+      let r_ref = Oracle.add_failsafe p ~spec ~invariant ~faults in
       let r_pk =
         Synthesize.add_failsafe ~engine:Ts.Packed p ~spec ~invariant ~faults
       in
@@ -216,8 +216,8 @@ let prop_nonmasking =
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
       let r_ref =
-        Synthesize.add_nonmasking ~engine:Ts.Reference
-          ~step_vars:inst.step_vars p ~spec ~invariant ~faults
+        Oracle.add_nonmasking ~step_vars:inst.step_vars p ~spec ~invariant
+          ~faults
       in
       let r_pk =
         Synthesize.add_nonmasking ~engine:Ts.Packed ~step_vars:inst.step_vars
@@ -233,8 +233,7 @@ let prop_masking =
       let invariant = pred_of_seed inst.inv_seed in
       let faults = build_faults inst in
       let r_ref =
-        Synthesize.add_masking ~engine:Ts.Reference ~step_vars:inst.step_vars
-          p ~spec ~invariant ~faults
+        Oracle.add_masking ~step_vars:inst.step_vars p ~spec ~invariant ~faults
       in
       let r_pk =
         Synthesize.add_masking ~engine:Ts.Packed ~step_vars:inst.step_vars p
@@ -261,6 +260,37 @@ let prop_workers =
       in
       agree p seq par)
 
+(* Sharded residency runs the same kernels through the public [Ts] API:
+   same outcome as the packed default, for one shard and for four. *)
+let prop_sharded =
+  let arb =
+    QCheck.make
+      ~print:(fun (inst, k) -> Fmt.str "%s, %d shards" (print_instance inst) k)
+      QCheck.Gen.(pair instance_gen (oneofl [ 1; 4 ]))
+  in
+  Util.qtest ~count:30 "add_masking: sharded (K=1,4) = packed" arb
+    (fun (inst, k) ->
+      let p = build_program inst in
+      let spec = build_spec inst in
+      let invariant = pred_of_seed inst.inv_seed in
+      let faults = build_faults inst in
+      let packed =
+        Synthesize.add_masking ~engine:Ts.Packed ~step_vars:inst.step_vars p
+          ~spec ~invariant ~faults
+      in
+      let k0, d0, m0 = Ts.shard_defaults () in
+      Ts.set_shard_defaults ~shards:k ~spill_dir:None ~arena_budget_mb:m0;
+      let sharded =
+        Fun.protect
+          ~finally:(fun () ->
+            Ts.set_shard_defaults ~shards:k0 ~spill_dir:d0 ~arena_budget_mb:m0)
+          (fun () ->
+            Synthesize.add_masking ~engine:Ts.Sharded
+              ~step_vars:inst.step_vars p ~spec ~invariant ~faults)
+      in
+      agree p packed sharded)
+
 let suite =
   ( "synthesis differential",
-    [ prop_failsafe; prop_nonmasking; prop_masking; prop_workers ] )
+    [ prop_failsafe; prop_nonmasking; prop_masking; prop_workers; prop_sharded ]
+  )
