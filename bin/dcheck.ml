@@ -687,14 +687,17 @@ let verify_cmd =
       | Some t -> [ t ]
       | None -> [ Spec.Failsafe; Spec.Nonmasking; Spec.Masking ]
     in
+    (* One context for every class: the initial states, the base system
+       and the span are built once and shared. *)
+    let ctx =
+      Tolerance.context ~limit ~workers ~engine e.program ~faults:e.faults
+        ~invariant:e.invariant
+    in
     let explain_failures report =
       if explain then begin
         (* Witnesses are found on the composed p [] F system over the
            fault span: it contains every state either checker explored. *)
-        let span =
-          Tolerance.fault_span ~limit ~workers ~engine e.program
-            ~faults:e.faults ~from:e.invariant
-        in
+        let span = Tolerance.span_of ctx in
         List.iter
           (fun (item : Tolerance.item) ->
             match item.outcome with
@@ -717,10 +720,7 @@ let verify_cmd =
     let unknown = ref false in
     List.iter
       (fun tol ->
-        let report =
-          Tolerance.check ~limit ~workers ~engine e.program ~spec:e.spec
-            ~invariant:e.invariant ~faults:e.faults ~tol
-        in
+        let report = Tolerance.check_in ctx ~spec:e.spec ~tol in
         Fmt.pr "%a@.@." Tolerance.pp_report report;
         if Tolerance.failures report <> [] then begin
           fails := true;
@@ -755,12 +755,11 @@ let components_cmd =
     guarded ~path timeout @@ fun () ->
     let e = Elaborate.load_file path in
     let sspec = Spec.safety (Spec.smallest_safety_containing e.spec) in
-    let span =
-      Tolerance.fault_span ~limit e.program ~faults:e.faults ~from:e.invariant
+    let ctx =
+      Tolerance.context ~limit e.program ~faults:e.faults ~invariant:e.invariant
     in
-    let ts_p =
-      Detcor_semantics.Ts.build ~limit e.program ~from:span.states
-    in
+    let span = Tolerance.span_of ctx in
+    let ts_p = Tolerance.p_over_span ctx in
     Fmt.pr "fault span: %d states@.@." (List.length span.states);
     Fmt.pr "Detectors (weakest detection predicate per action):@.";
     List.iter
@@ -899,14 +898,19 @@ let simulate_cmd =
       robust
     @@ fun () ->
     let e = Elaborate.load_file path in
-    let inits =
-      List.filter (Pred.holds e.invariant) (Program.states e.program)
-    in
-    match inits with
-    | [] ->
+    (* Only the first invariant state is needed: stop the sweep there
+       instead of materializing the product. *)
+    let exception First of State.t in
+    match
+      Detcor_semantics.Layout.sweep
+        (Detcor_semantics.Layout.compile e.program)
+        (Pred.holds e.invariant)
+        (fun _ sc -> raise (First (State.scratch_copy sc)))
+    with
+    | () ->
       Fmt.epr "dcheck: no state satisfies the invariant@.";
       2
-    | init :: _ ->
+    | exception First init ->
       let sspec = Spec.safety (Spec.smallest_safety_containing e.spec) in
       let open Detcor_sim in
       let samples =
@@ -1196,13 +1200,13 @@ let profile_cmd =
       | Some t -> [ t ]
       | None -> [ Spec.Failsafe; Spec.Nonmasking; Spec.Masking ]
     in
+    let ctx =
+      Tolerance.context ~limit e.program ~faults:e.faults ~invariant:e.invariant
+    in
     let reports = ref [] in
     List.iter
       (fun tol ->
-        let report =
-          Tolerance.check ~limit e.program ~spec:e.spec ~invariant:e.invariant
-            ~faults:e.faults ~tol
-        in
+        let report = Tolerance.check_in ctx ~spec:e.spec ~tol in
         reports := (tol, report) :: !reports)
       classes;
     Fmt.pr "profile of %s (%s)@.@." path (Program.name e.program);

@@ -74,13 +74,9 @@ let pp_report ppf r =
     r.items
 
 let tolerant ?limit ?recover program c ~faults ~tol ~from =
-  let composed = Fault.compose program faults in
-  let ts_pf = Ts.of_pred ?limit composed ~from in
-  let span_states = Ts.states ts_pf in
-  let span =
-    Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states
-  in
-  let ts_p = Ts.build ?limit program ~from:span_states in
+  let ctx = Tolerance.context ?limit program ~faults ~invariant:from in
+  let { Tolerance.pred = span; ts_pf; _ } = Tolerance.span_of ctx in
+  let ts_p () = Tolerance.p_over_span ctx in
   let recover = match recover with Some r -> r | None -> from in
   let safety_items () =
     [ (Fmt.str "safety of '%s' on p[]F from span" c.cname,
@@ -89,16 +85,16 @@ let tolerant ?limit ?recover program c ~faults ~tol ~from =
   let liveness_items () =
     [
       (Fmt.str "progress of '%s' on p from span" c.cname,
-       Detector.progress ts_p (as_detector c));
+       Detector.progress (ts_p ()) (as_detector c));
       (Fmt.str "convergence of '%s' on p from span" c.cname,
-       Check.eventually ts_p c.correction);
+       Check.eventually (ts_p ()) c.correction);
     ]
   in
   let nonmasking_items () =
     let ts_rec = Ts.of_pred ?limit program ~from:recover in
     [
       (Fmt.str "p converges from span to %s" (Pred.name recover),
-       Check.eventually ts_p recover);
+       Check.eventually (ts_p ()) recover);
       (Fmt.str "'%s' holds from %s" c.cname (Pred.name recover),
        satisfies_ts ts_rec c);
     ]

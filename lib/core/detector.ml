@@ -80,24 +80,23 @@ let pp_report ppf r =
     r.items
 
 let tolerant ?limit ?recover program d ~faults ~tol ~from =
-  let composed = Fault.compose program faults in
-  let ts_pf = Ts.of_pred ?limit composed ~from in
-  let span_states = Ts.states ts_pf in
-  let span = Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) span_states in
-  let ts_p = Ts.build ?limit program ~from:span_states in
+  let ctx = Tolerance.context ?limit program ~faults ~invariant:from in
+  let { Tolerance.pred = span; ts_pf; _ } = Tolerance.span_of ctx in
+  let ts_p () = Tolerance.p_over_span ctx in
   let recover = match recover with Some r -> r | None -> from in
   let safety_items () =
     [ (Fmt.str "safety of '%s' on p[]F from span" d.dname,
        Spec.refines ts_pf (safety_spec d)) ]
   in
   let progress_item () =
-    [ (Fmt.str "progress of '%s' on p from span" d.dname, progress ts_p d) ]
+    [ (Fmt.str "progress of '%s' on p from span" d.dname,
+       progress (ts_p ()) d) ]
   in
   let nonmasking_items () =
     let ts_rec = Ts.of_pred ?limit program ~from:recover in
     [
       (Fmt.str "p converges from span to %s" (Pred.name recover),
-       Check.eventually ts_p recover);
+       Check.eventually (ts_p ()) recover);
       (Fmt.str "'%s' holds from %s" d.dname (Pred.name recover),
        satisfies_ts ts_rec d);
     ]

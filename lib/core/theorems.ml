@@ -49,6 +49,37 @@ let outcome_of_bool b witness_state =
 let some_state ts =
   match Ts.states ts with s :: _ -> s | [] -> State.empty
 
+(* "p' encapsulates p", decided over the states of [ts]. *)
+let encapsulation ~base refined ts =
+  outcome_of_bool
+    (Program.encapsulates ~base refined ~universe:(Ts.states ts))
+    (some_state ts)
+
+(* The premises every theorem relating p' from R to p from S opens with,
+   and the explored p' from R. *)
+let r_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r () =
+  let _, base_refines =
+    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  in
+  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
+  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
+  ( ts_r,
+    [
+      ("p refines SPEC from S (premise)", base_refines);
+      ("R => S (premise)", Check.implies ts_r invariant_r invariant_s);
+      ("p' refines p from R (premise)", Refinement.outcome refinement);
+    ] )
+
+(* One context over the states p' reaches from R: the span T and p' over
+   it serve both the premises and the tolerance conclusion. *)
+let r_context ?limit ~refined ~faults ~invariant_r ts_r =
+  Tolerance.context ?limit ~init:(Ts.states ts_r) refined ~faults
+    ~invariant:invariant_r
+
+(* A tolerance report as one conclusion: its first failing obligation. *)
+let first_failure report =
+  match Tolerance.failures report with [] -> Check.Holds | i :: _ -> i.outcome
+
 (* ------------------------------------------------------------------ *)
 (* Theorem 3.4: programs that refine a safety specification contain     *)
 (* detectors.                                                           *)
@@ -57,12 +88,7 @@ let some_state ts =
 let theorem_3_4 ?limit ~base ~refined ~sspec ~invariant () =
   let ts = Ts.of_pred ?limit refined ~from:invariant in
   let refinement = Refinement.check_ts ~base ts ~from:invariant in
-  let universe = Ts.states ts in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts)
-  in
+  let encapsulation = encapsulation ~base refined ts in
   let safety =
     Spec.refines ts (Spec.make ~name:(Safety.name sspec) ~safety:sspec ())
   in
@@ -87,12 +113,7 @@ let theorem_3_4 ?limit ~base ~refined ~sspec ~invariant () =
    detectors (Safeness and Stability only). *)
 let lemma_3_5 ?limit ~base ~refined ~sspec ~invariant () =
   let ts = Ts.of_pred ?limit refined ~from:invariant in
-  let universe = Ts.states ts in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts)
-  in
+  let encapsulation = encapsulation ~base refined ts in
   let safety =
     Spec.refines ts (Spec.make ~name:(Safety.name sspec) ~safety:sspec ())
   in
@@ -121,43 +142,23 @@ let lemma_3_5 ?limit ~base ~refined ~sspec ~invariant () =
 let theorem_3_6 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  (* Premise: p refines SPEC from S. *)
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
-  in
-  (* Premise: p' refines p from R with R ⇒ S. *)
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts_r)
+  let ts_r, premises =
+    r_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
   (* Premise: p' [] F refines SSPEC from T (the span of R). *)
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
-  in
+  let ctx = r_context ?limit ~refined ~faults ~invariant_r ts_r in
+  let span = Tolerance.span_of ctx in
   let span_safety =
     Spec.refines span.ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
   in
   (* Conclusion 1: p' is fail-safe F-tolerant for SPEC from R. *)
-  let failsafe =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Failsafe
-  in
-  let failsafe_outcome =
-    match Tolerance.failures failsafe with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
+  let failsafe = Tolerance.check_in ctx ~spec ~tol:Spec.Failsafe in
   (* Conclusion 2: for each base action, a fail-safe F-tolerant detector.
      The detection predicate is extracted over the whole span (where the
      component must keep operating), with fault steps on the Stability
      side; Safeness/Stability must then hold over the span under
      p' [] F. *)
-  let ts_p_span = Ts.build ?limit refined ~from:(Ts.states span.ts_pf) in
+  let ts_p_span = Tolerance.p_over_span ctx in
   let extra_transitions = Extraction.fault_transitions span.ts_pf ~faults in
   let detector_conclusions =
     List.map
@@ -178,16 +179,14 @@ let theorem_3_6 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
   {
     theorem = "Theorem 3.6 (fail-safe tolerance contains tolerant detectors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' encapsulates p (premise)", encapsulation);
-        ("p'[]F refines SSPEC from T (premise)", span_safety);
-      ];
+      premises
+      @ [
+          ("p' encapsulates p (premise)", encapsulation ~base refined ts_r);
+          ("p'[]F refines SSPEC from T (premise)", span_safety);
+        ];
     conclusions =
       ("p' is fail-safe F-tolerant for SPEC from R (conclusion)",
-       failsafe_outcome)
+       first_failure failsafe)
       :: detector_conclusions;
   }
 
@@ -225,12 +224,9 @@ let theorem_4_1 ?limit ~base ~refined ~spec ~invariant_s ~from_t () =
 (* Lemma 4.2: p' behaves like p only from R ⊆ S: nonmasking corrector. *)
 let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
     =
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let _, premises =
+    r_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
   let ts_t = Ts.of_pred ?limit refined ~from:from_t in
   let eventually_r = Check.eventually ts_t invariant_r in
   let extracted =
@@ -240,12 +236,8 @@ let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
   {
     theorem = "Lemma 4.2 (nonmasking corrector)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' refines (true)*(p'|R) from T (premise)", eventually_r);
-      ];
+      premises
+      @ [ ("p' refines (true)*(p'|R) from T (premise)", eventually_r) ];
     conclusions =
       [
         ( "p' is a nonmasking corrector of an invariant of p (conclusion)",
@@ -260,30 +252,16 @@ let lemma_4_2 ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ~from_t ()
 
 let theorem_4_3 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let ts_r, premises =
+    r_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
-  in
+  let ctx = r_context ?limit ~refined ~faults ~invariant_r ts_r in
   (* Premise: p' [] F refines (true)*(p'|R) from T — with finitely many
      faults, p' alone converges from the span to R. *)
-  let ts_p_span = Ts.build ?limit refined ~from:span.states in
+  let ts_p_span = Tolerance.p_over_span ctx in
   let converges_to_r = Check.eventually ts_p_span invariant_r in
   (* Conclusion 1: p' is nonmasking F-tolerant for SPEC from R. *)
-  let nonmasking =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Nonmasking
-  in
-  let nonmasking_outcome =
-    match Tolerance.failures nonmasking with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
+  let nonmasking = Tolerance.check_in ctx ~spec ~tol:Spec.Nonmasking in
   (* Conclusion 2: nonmasking F-tolerant corrector (Z = R, X = S). *)
   let extracted =
     Extraction.nonmasking_corrector ts_p_span ~invariant:invariant_s
@@ -293,16 +271,12 @@ let theorem_4_3 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     theorem =
       "Theorem 4.3 (nonmasking tolerance contains tolerant correctors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
-      ];
+      premises
+      @ [ ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r) ];
     conclusions =
       [
         ( "p' is nonmasking F-tolerant for SPEC from R (conclusion)",
-          nonmasking_outcome );
+          first_failure nonmasking );
         ( "p' is a nonmasking F-tolerant corrector (conclusion)",
           extracted.outcome );
       ];
@@ -344,36 +318,18 @@ let theorem_5_2 ?limit ~program ~spec ~invariant_s ~from_t () =
 let theorem_5_5 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
     () =
   let sspec = Spec.safety (Spec.smallest_safety_containing spec) in
-  let _, base_refines =
-    Tolerance.refines_from ?limit base ~spec ~invariant:invariant_s
+  let ts_r, premises =
+    r_premises ?limit ~base ~refined ~spec ~invariant_s ~invariant_r ()
   in
-  let ts_r = Ts.of_pred ?limit refined ~from:invariant_r in
-  let r_implies_s = Check.implies ts_r invariant_r invariant_s in
-  let refinement = Refinement.check_ts ~base ts_r ~from:invariant_r in
-  let universe = Ts.states ts_r in
-  let encapsulation =
-    outcome_of_bool
-      (Program.encapsulates ~base refined ~universe)
-      (some_state ts_r)
-  in
-  let span =
-    Tolerance.fault_span_from_states ?limit refined ~faults ~init:universe
-  in
-  let ts_p_span = Ts.build ?limit refined ~from:span.states in
+  let ctx = r_context ?limit ~refined ~faults ~invariant_r ts_r in
+  let span = Tolerance.span_of ctx in
+  let ts_p_span = Tolerance.p_over_span ctx in
   let converges_to_r = Check.eventually ts_p_span invariant_r in
   let span_safety =
     Spec.refines span.ts_pf (Spec.make ~name:"SSPEC" ~safety:sspec ())
   in
   (* Conclusion 1: masking F-tolerance from T. *)
-  let masking =
-    Tolerance.check_with ?limit refined ~spec ~invariant:invariant_r
-      ~init:universe ~faults ~tol:Spec.Masking
-  in
-  let masking_outcome =
-    match Tolerance.failures masking with
-    | [] -> Check.Holds
-    | i :: _ -> i.outcome
-  in
+  let masking = Tolerance.check_in ctx ~spec ~tol:Spec.Masking in
   (* Conclusion 2: masking F-tolerant detectors — safety obligations over
      the span under p' [] F, progress on p' alone from the span. *)
   let extra_transitions = Extraction.fault_transitions span.ts_pf ~faults in
@@ -421,18 +377,16 @@ let theorem_5_5 ?limit ~base ~refined ~spec ~faults ~invariant_s ~invariant_r
       "Theorem 5.5 (masking tolerance contains tolerant detectors and \
        correctors)";
     premises =
-      [
-        ("p refines SPEC from S (premise)", base_refines);
-        ("R => S (premise)", r_implies_s);
-        ("p' refines p from R (premise)", Refinement.outcome refinement);
-        ("p' encapsulates p (premise)", encapsulation);
-        ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
-        ("p'[]F refines SSPEC from T (premise)", span_safety);
-      ];
+      premises
+      @ [
+          ("p' encapsulates p (premise)", encapsulation ~base refined ts_r);
+          ("p'[]F refines (true)*(p'|R) from T (premise)", converges_to_r);
+          ("p'[]F refines SSPEC from T (premise)", span_safety);
+        ];
     conclusions =
       [
         ("p' is masking F-tolerant for SPEC from T (conclusion)",
-         masking_outcome);
+         first_failure masking);
       ]
       @ detector_conclusions
       @ [

@@ -120,6 +120,35 @@ let pp_report ppf r =
        | None -> "VERDICT: holds")
 
 (* ------------------------------------------------------------------ *)
+(* Initial states: the invariant's states in the product space.        *)
+(* ------------------------------------------------------------------ *)
+
+(* The invariant states of the product space, in one sweep through the
+   program's layout.  Only the states collected count against [limit]: a
+   large product with a small invariant is swept in full, but an invariant
+   larger than [limit] exhausts the same state budget [Ts.build] does. *)
+let init_states ?(limit = Ts.default_limit) p ~invariant =
+  Obs.span "tolerance.init_states" @@ fun () ->
+  let layout = Layout.compile p in
+  let acc = ref [] in
+  let enumerated = ref 0 and collected = ref 0 in
+  Progress.with_phase "tolerance.init_states"
+    (fun () -> [ ("enumerated", !enumerated); ("collected", !collected) ])
+    (fun () ->
+      Layout.sweep layout
+        (fun st ->
+          incr enumerated;
+          Pred.holds invariant st)
+        (fun _ sc ->
+          if !collected >= limit then raise (Ts.Too_large limit);
+          incr collected;
+          acc := State.scratch_copy sc :: !acc));
+  if Obs.on () then
+    Obs.annotate
+      [ Attr.int "enumerated" !enumerated; Attr.int "collected" !collected ];
+  List.rev !acc
+
+(* ------------------------------------------------------------------ *)
 (* Fault spans (Section 2.3).                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -131,27 +160,25 @@ type span = {
 
 (* The F-span of p from S: smallest T with S ⇒ T, T closed in p, and T
    closed in F — i.e. the forward closure of the S-states under p [] F. *)
-let fault_span ?limit ?engine ?workers p ~faults ~from =
+let span_system ?limit ?engine ?workers p ~faults ~init =
   Obs.span "tolerance.fault_span" @@ fun () ->
-  let composed = Fault.compose p faults in
-  let ts_pf = Ts.of_pred ?limit ?engine ?workers composed ~from in
-  let states = Ts.states ts_pf in
-  let pred =
-    Pred.of_states ~name:(Fmt.str "span(%s)" (Pred.name from)) states
+  let ts =
+    Ts.build ?limit ?engine ?workers (Fault.compose p faults) ~from:init
   in
-  if Obs.on () then Obs.annotate [ Attr.int "span_states" (List.length states) ];
-  { pred; states; ts_pf }
+  if Obs.on () then Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
+  ts
 
-(* [fault_span_from_states] avoids re-enumerating the product space when the
-   initial states are already known. *)
+let span_named name ts_pf states =
+  { pred = Pred.of_states ~name states; states; ts_pf }
+
 let fault_span_from_states ?limit ?engine ?workers p ~faults ~init =
-  Obs.span "tolerance.fault_span" @@ fun () ->
-  let composed = Fault.compose p faults in
-  let ts_pf = Ts.build ?limit ?engine ?workers composed ~from:init in
-  let states = Ts.states ts_pf in
-  let pred = Pred.of_states ~name:"span" states in
-  if Obs.on () then Obs.annotate [ Attr.int "span_states" (List.length states) ];
-  { pred; states; ts_pf }
+  let ts_pf = span_system ?limit ?engine ?workers p ~faults ~init in
+  span_named "span" ts_pf (Ts.states ts_pf)
+
+let fault_span ?limit ?engine ?workers p ~faults ~from =
+  let init = init_states ?limit p ~invariant:from in
+  let ts_pf = span_system ?limit ?engine ?workers p ~faults ~init in
+  span_named (Fmt.str "span(%s)" (Pred.name from)) ts_pf (Ts.states ts_pf)
 
 (* ------------------------------------------------------------------ *)
 (* "p refines SPEC from S" — correctness in the absence of faults.     *)
@@ -159,13 +186,91 @@ let fault_span_from_states ?limit ?engine ?workers p ~faults ~init =
 
 (* S must be closed in p, and every computation from S must be in SPEC
    (Section 2.2.1, Refines + Invariant). *)
-let refines_from ?limit ?engine ?workers p ~spec ~invariant =
-  let ts = Ts.of_pred ?limit ?engine ?workers p ~from:invariant in
-  (ts, Check.all [ Check.closed ts invariant; Spec.refines ts spec ])
+let refines ts ~spec ~invariant =
+  Check.all [ Check.closed ts invariant; Spec.refines ts spec ]
 
 let refines_from_states ?limit ?engine ?workers p ~spec ~init ~invariant =
   let ts = Ts.build ?limit ?engine ?workers p ~from:init in
-  (ts, Check.all [ Check.closed ts invariant; Spec.refines ts spec ])
+  (ts, refines ts ~spec ~invariant)
+
+let refines_from ?limit ?engine ?workers p ~spec ~invariant =
+  refines_from_states ?limit ?engine ?workers p ~spec ~invariant
+    ~init:(init_states ?limit p ~invariant)
+
+(* ------------------------------------------------------------------ *)
+(* One tolerance context per (program, faults, invariant).             *)
+(* ------------------------------------------------------------------ *)
+
+(* The three classes share condition (i) and the span of condition (ii),
+   so every system they read is built at most once, on first demand, and
+   kept for the next class.  A build that raises is not memoized: the
+   next read retries it, as a fresh check would. *)
+type context = {
+  program : Program.t;
+  invariant : Pred.t;
+  build : State.t list -> Ts.t; (* p from the given states *)
+  init : unit -> State.t list;
+  base : unit -> Ts.t; (* p from S *)
+  span_ts : unit -> Ts.t; (* p [] F over the span *)
+  span_states : unit -> State.t list;
+  span_rec : unit -> span;
+  p_span : unit -> Ts.t; (* p alone over the span *)
+}
+
+let memo f =
+  let r = ref None in
+  fun () ->
+    match !r with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      r := Some v;
+      v
+
+let context ?limit ?engine ?workers ?init p ~faults ~invariant =
+  let init =
+    match init with
+    | Some states -> fun () -> states
+    | None -> memo (fun () -> init_states ?limit p ~invariant)
+  in
+  let build from = Ts.build ?limit ?engine ?workers p ~from in
+  let span_ts =
+    memo (fun () ->
+        span_system ?limit ?engine ?workers p ~faults ~init:(init ()))
+  in
+  let span_states = memo (fun () -> Ts.states (span_ts ())) in
+  {
+    program = p;
+    invariant;
+    build;
+    init;
+    base = memo (fun () -> build (init ()));
+    span_ts;
+    span_states;
+    span_rec =
+      memo (fun () ->
+          span_named
+            (Fmt.str "span(%s)" (Pred.name invariant))
+            (span_ts ()) (span_states ()));
+    p_span = memo (fun () -> build (span_states ()));
+  }
+
+let base ctx = ctx.base ()
+let span_of ctx = ctx.span_rec ()
+let p_over_span ctx = ctx.p_span ()
+
+(* p from the span states satisfying [recover].  When those are exactly
+   the initial states (always so for [recover] = the invariant of a swept
+   context), that is the base system. *)
+let recovery_system ctx recover =
+  let ts_pf = ctx.span_ts () in
+  let seeds = List.filter (Pred.holds recover) (ctx.span_states ()) in
+  let initials = Ts.initials ts_pf in
+  if
+    List.compare_lengths seeds initials = 0
+    && List.for_all (fun i -> Pred.holds recover (Ts.state ts_pf i)) initials
+  then ctx.base ()
+  else ctx.build seeds
 
 (* ------------------------------------------------------------------ *)
 (* Liveness in the presence of finitely many faults.                   *)
@@ -220,7 +325,25 @@ let liveness_under_faults ~ts_pf ~ts_p liveness =
 (* The three tolerance checkers.                                       *)
 (* ------------------------------------------------------------------ *)
 
-let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults ~tol =
+let check_in ?recover ctx ~spec ~tol =
+  let p = ctx.program and invariant = ctx.invariant in
+  match ctx.init () with
+  | exception e -> (
+    (* Exhaustion while enumerating the invariant itself still yields a
+       well-formed report: one Unknown obligation, never an exception. *)
+    match resource_of_exn e with
+    | Some r ->
+      let outcome = Check.Unknown r in
+      count_unknown outcome;
+      {
+        subject = Program.name p;
+        tol;
+        span_size = 0;
+        invariant_size = 0;
+        items = [ { label = "enumerate invariant states"; outcome } ];
+      }
+    | None -> raise e)
+  | _ ->
   Obs.span "tolerance.check"
     ~attrs:
       [
@@ -261,55 +384,21 @@ let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults
   let base_item =
     timed "p refines SPEC from S" (fun () ->
         guard (fun () ->
-            let ts, o =
-              refines_from_states ?limit ?engine ?workers p ~spec ~init
-                ~invariant
-            in
+            let ts = ctx.base () in
+            let o = refines ts ~spec ~invariant in
             base_ts := Some ts;
             o))
   in
   (* The span (forward closure of S under p [] F).  Only the explored
-     system is built eagerly; the span *state list* — linear in span
-     size, and needed only by the nonmasking obligations — is
-     materialized on first demand, so a failsafe or masking check of a
-     billion-state span never holds the states as a list. *)
-  let span_ts =
-    structure (fun () ->
-        Obs.span "tolerance.fault_span" @@ fun () ->
-        let ts =
-          Ts.build ?limit ?engine ?workers (Fault.compose p faults) ~from:init
-        in
-        if Obs.on () then
-          Obs.annotate [ Attr.int "span_states" (Ts.num_states ts) ];
-        ts)
-  in
-  let span_states_memo = ref None in
-  let span_states () =
-    match !span_states_memo with
-    | Some states -> states
-    | None ->
-      let states =
-        match span_ts with None -> [] | Some ts -> Ts.states ts
-      in
-      span_states_memo := Some states;
-      states
-  in
+     system is read eagerly; the span *state list* — linear in span size,
+     and needed only by the nonmasking and masking obligations — is
+     materialized on first demand, so a failsafe check of a billion-state
+     span never holds the states as a list. *)
+  let span_ts = structure ctx.span_ts in
   (* p alone, over the whole span: used for liveness after the faults
-     stop.  Built on demand — the failsafe obligations never need it. *)
-  let ts_p_span_memo = ref None in
+     stop.  Read on demand — the failsafe obligations never need it. *)
   let ts_p_span () =
-    match !ts_p_span_memo with
-    | Some r -> r
-    | None ->
-      let r =
-        match span_ts with
-        | None -> None
-        | Some _ ->
-          structure (fun () ->
-              Ts.build ?limit ?engine ?workers p ~from:(span_states ()))
-      in
-      ts_p_span_memo := Some r;
-      r
+    match span_ts with None -> None | Some _ -> structure ctx.p_span
   in
   let sspec = Spec.smallest_safety_containing spec in
   let safety_item () =
@@ -338,12 +427,7 @@ let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults
         | None -> unknown ()
         | Some _ ->
           guard (fun () ->
-              let ts_rec =
-                Ts.build ?limit ?engine ?workers p
-                  ~from:(List.filter (Pred.holds recover) (span_states ()))
-              in
-              Check.all
-                [ Check.closed ts_rec recover; Spec.refines ts_rec spec ]))
+              refines (recovery_system ctx recover) ~spec ~invariant:recover))
   in
   (* Masking: computations of p [] F from the span are in SPEC — safety on
      the full p [] F graph, liveness under the finitely-many-faults
@@ -374,42 +458,16 @@ let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init ~faults
     items;
   }
 
-(* The invariant states of the product space, streamed through the
-   program's layout.  Only the states collected count against [limit]: a
-   large product with a small invariant is swept in full, but an invariant
-   larger than [limit] exhausts the same state budget [Ts.build] does. *)
-let init_states ?(limit = Ts.default_limit) p ~invariant =
-  let layout = Layout.compile p in
-  let acc = ref [] in
-  let count = ref 0 in
-  Layout.iter_scratch layout (fun sc ->
-      if Pred.holds invariant (State.scratch_view sc) then begin
-        if !count >= limit then raise (Ts.Too_large limit);
-        incr count;
-        acc := State.scratch_copy sc :: !acc
-      end);
-  List.rev !acc
-
 let check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol =
-  match init_states ?limit p ~invariant with
-  | init ->
-    check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init
-      ~faults ~tol
-  | exception e -> (
-    (* Exhaustion while enumerating the invariant itself still yields a
-       well-formed report: one Unknown obligation, never an exception. *)
-    match resource_of_exn e with
-    | Some r ->
-      let outcome = Check.Unknown r in
-      count_unknown outcome;
-      {
-        subject = Program.name p;
-        tol;
-        span_size = 0;
-        invariant_size = 0;
-        items = [ { label = "enumerate invariant states"; outcome } ];
-      }
-    | None -> raise e)
+  check_in ?recover
+    (context ?limit ?engine ?workers p ~faults ~invariant)
+    ~spec ~tol
+
+let check_with ?limit ?engine ?workers ?recover p ~spec ~invariant ~init
+    ~faults ~tol =
+  check_in ?recover
+    (context ?limit ?engine ?workers ~init p ~faults ~invariant)
+    ~spec ~tol
 
 let is_failsafe ?limit ?engine ?workers p ~spec ~invariant ~faults =
   check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Failsafe
@@ -421,10 +479,10 @@ let is_nonmasking ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
 let is_masking ?limit ?engine ?workers p ~spec ~invariant ~faults =
   check ?limit ?engine ?workers p ~spec ~invariant ~faults ~tol:Spec.Masking
 
-(* Classify: the reports for all three classes, masking first. *)
+(* Classify: the reports for all three classes, masking first, read from
+   one shared context. *)
 let classify ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults =
+  let ctx = context ?limit ?engine ?workers p ~faults ~invariant in
   List.map
-    (fun tol ->
-      (tol,
-       check ?limit ?engine ?workers ?recover p ~spec ~invariant ~faults ~tol))
+    (fun tol -> (tol, check_in ?recover ctx ~spec ~tol))
     [ Spec.Masking; Spec.Failsafe; Spec.Nonmasking ]

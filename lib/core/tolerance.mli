@@ -47,7 +47,8 @@ type span = {
 }
 
 (** The F-span of [p] from [from] (Section 2.3): forward closure of the
-    [from]-states under [p [] F]. *)
+    [from]-states under [p [] F].  {!init_states} followed by the
+    exploration of {!fault_span_from_states}. *)
 val fault_span :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -69,7 +70,8 @@ val fault_span_from_states :
   span
 
 (** [refines_from p ~spec ~invariant]: S closed in p and every computation
-    from S in SPEC; also returns the explored system. *)
+    from S in SPEC; also returns the explored system.  {!init_states}
+    followed by {!refines_from_states}. *)
 val refines_from :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -89,11 +91,44 @@ val refines_from_states :
   invariant:Pred.t ->
   Ts.t * Check.outcome
 
-(** The product-space states satisfying the invariant, streamed through
-    the program's {!Layout} in [State.compare] order.
+(** The product-space states satisfying the invariant, in one
+    {!Layout.sweep} ([State.compare] order).  Traced as the
+    [tolerance.init_states] span (annotated [enumerated], [collected])
+    and reported live as a progress phase of the same name.
     @raise Ts.Too_large if more than [limit] states satisfy the invariant
     (the product sweep itself is not bounded). *)
 val init_states : ?limit:int -> Program.t -> invariant:Pred.t -> State.t list
+
+(** {1 Tolerance contexts}
+
+    The three classes share condition (i), "p refines SPEC from S", and
+    the span T of condition (ii).  A context holds, for one program, fault
+    class and invariant, every system the checkers read — the initial
+    states, the base system p from S, the p[]F span and its state list,
+    and p over the span — each built on first demand and kept for the
+    next class.  A build that raises is retried on the next read. *)
+type context
+
+(** [context p ~faults ~invariant]: initial states are the invariant's
+    states in the product space, or exactly [init] when given. *)
+val context :
+  ?limit:int ->
+  ?engine:Ts.engine ->
+  ?workers:int ->
+  ?init:State.t list ->
+  Program.t ->
+  faults:Fault.t ->
+  invariant:Pred.t ->
+  context
+
+(** The base system: p explored from the initial states. *)
+val base : context -> Ts.t
+
+(** The F-span of the initial states, named [span(S)]. *)
+val span_of : context -> span
+
+(** p alone, explored from every span state. *)
+val p_over_span : context -> Ts.t
 
 (** [leads_to_under_faults ~ts_pf ~ts_p o]: does the leads-to obligation
     hold on every computation of [p [] F] under the finitely-many-faults
@@ -105,9 +140,13 @@ val leads_to_under_faults :
 val liveness_under_faults :
   ts_pf:Ts.t -> ts_p:Ts.t -> Liveness.t -> Check.outcome
 
-(** Full tolerance check for a given class.  [recover] (nonmasking only,
-    default: the invariant) is the predicate computations converge to and
-    refine SPEC from — the R of Theorem 4.3. *)
+(** The tolerance check of one class, reading the context's systems.
+    [recover] (nonmasking only, default: the invariant) is the predicate
+    computations converge to and refine SPEC from — the R of Theorem 4.3. *)
+val check_in :
+  ?recover:Pred.t -> context -> spec:Spec.t -> tol:Spec.tolerance -> report
+
+(** [check_in] over a fresh {!context}. *)
 val check :
   ?limit:int ->
   ?engine:Ts.engine ->
@@ -153,7 +192,7 @@ val is_masking :
   ?workers:int ->
   Program.t -> spec:Spec.t -> invariant:Pred.t -> faults:Fault.t -> report
 
-(** Reports for all three classes, masking first. *)
+(** Reports for all three classes, masking first, from one context. *)
 val classify :
   ?limit:int ->
   ?engine:Ts.engine ->

@@ -223,17 +223,21 @@ let unpack_into t sc rank =
 (* A scratch buffer shaped for {!unpack_into}. *)
 let scratch t = State.scratch_create t.vars
 
-(* Enumerate the whole product space in rank order through one reusable
-   scratch buffer: visiting a state costs one slot write instead of a
-   fresh state allocation.  The buffer passed to [f] is invalidated by the
-   next visit; [f] must [State.scratch_copy] any state it retains. *)
-let iter_scratch t f =
+(* The one product-space sweep: every state, in rank order, through one
+   reusable scratch buffer, so visiting a state costs a slot write instead
+   of an allocation.  [f rank sc] runs for each state whose view passes
+   [test]; the buffer is invalidated by the next visit, so [f] must
+   [State.scratch_copy] any state it retains.  Raising from [test] or [f]
+   stops the sweep. *)
+let sweep t test f =
   let n = Array.length t.vars in
   let sc = State.scratch_create t.vars in
+  let rank = ref 0 in
   let rec go k =
     if k = n then begin
       Detcor_robust.Budget.tick ();
-      f sc
+      if test (State.scratch_view sc) then f !rank sc;
+      incr rank
     end
     else
       Array.iter
@@ -243,8 +247,6 @@ let iter_scratch t f =
         t.domains.(k)
   in
   go 0
-
-let iter_states t f = iter_scratch t (fun sc -> f (State.scratch_copy sc))
 
 let pp ppf t =
   Fmt.pf ppf "layout: %d vars, %d states" (Array.length t.vars) t.space

@@ -71,14 +71,12 @@ val unpack_into : t -> State.scratch -> int -> unit
 (** A scratch buffer over this layout's variables, for {!unpack_into}. *)
 val scratch : t -> State.scratch
 
-(** Enumerate the full product space in ascending rank order.  Each state
-    passed to the callback is fresh and may be retained. *)
-val iter_states : t -> (State.t -> unit) -> unit
-
-(** Like {!iter_states}, but reuses one {!Detcor_kernel.State.scratch}
-    buffer for the whole sweep: visiting a state costs a slot write
-    instead of an allocation.  The buffer is invalidated by the next
-    visit — the callback must [State.scratch_copy] states it retains. *)
-val iter_scratch : t -> (State.scratch -> unit) -> unit
+(** [sweep t test f] streams the full product space in ascending rank
+    order and calls [f rank sc] for each state whose view satisfies
+    [test].  One {!Detcor_kernel.State.scratch} buffer is reused for the
+    whole sweep and is invalidated by the next visit: [f] must
+    [State.scratch_copy] states it retains.  Raise from [test] or [f] to
+    stop early. *)
+val sweep : t -> (State.t -> bool) -> (int -> State.scratch -> unit) -> unit
 
 val pp : t Fmt.t

@@ -479,26 +479,20 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
       | Some rank -> Hashtbl.find_opt index rank)
     ~layout
 
-let build_packed ~limit ~workers layout program ~from =
+(* [seeds] are (rank, state) pairs in ascending rank order, without
+   duplicates: interning them first numbers the initials in rank
+   (= State.compare) order. *)
+let build_packed ~limit ~workers layout program ~seeds =
   let actions = Array.of_list (Program.actions program) in
   let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   let b = new_builder ~limit in
-  (* Sorting by rank is sorting by State.compare (Layout invariant): the
-     initial numbering is State.compare order. *)
-  let ranked = List.map (fun st -> (pack_initial layout st, st)) from in
-  let ranked =
-    List.sort_uniq (fun (r1, _) (r2, _) -> Int.compare r1 r2) ranked
-  in
   let initials =
     List.map
       (fun (rank, st) ->
-        match Hashtbl.find_opt index rank with
-        | Some i -> i
-        | None ->
-          let i = add_state b st in
-          Hashtbl.add index rank i;
-          i)
-      ranked
+        let i = add_state b st in
+        Hashtbl.add index rank i;
+        i)
+      seeds
   in
   explore_packed ~workers layout program ~actions ~b ~index ~initials
 
@@ -534,8 +528,9 @@ let full_packed ~limit ~workers layout program =
     b.ea <- Array.make space 0;
     b.et <- Array.make space 0
   end;
-  Layout.iter_scratch layout (fun sc ->
-      ignore (add_state b (State.scratch_copy sc)));
+  Layout.sweep layout
+    (fun _ -> true)
+    (fun _ sc -> ignore (add_state b (State.scratch_copy sc)));
   let n = b.count in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.full" in
   (match Detcor_robust.Checkpoint.resume_data phase with
@@ -615,21 +610,6 @@ let full_packed ~limit ~workers layout program =
     ~initials:(List.init n Fun.id)
     ~lookup:(fun st -> Layout.pack_opt layout st)
     ~layout
-
-(* Packed [of_pred]: stream the product space in rank order (which is
-   State.compare order), interning matches on the fly — no intermediate
-   lists and no sorting. *)
-let of_pred_packed ~limit ~workers layout program ~from =
-  let actions = Array.of_list (Program.actions program) in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let b = new_builder ~limit in
-  let rank = ref 0 in
-  Layout.iter_scratch layout (fun sc ->
-      if Pred.holds from (State.scratch_view sc) then
-        Hashtbl.add index !rank (add_state b (State.scratch_copy sc));
-      incr rank);
-  let initials = List.init b.count Fun.id in
-  explore_packed ~workers layout program ~actions ~b ~index ~initials
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine: hash-partitioned, disk-spillable arenas.            *)
@@ -825,21 +805,6 @@ let build_sharded ~limit ~workers layout program ~seed_ranks =
       | Some rank -> Shard_store.find store rank)
     ~layout ~shard:(Some store)
 
-(* Seed rank sets for the three construction surfaces.  Sorting by rank
-   is sorting by [State.compare] (the [Layout] invariant), so initials
-   match the packed mode. *)
-let sharded_of_states layout from =
-  let ranks = List.map (pack_initial layout) from in
-  Array.of_list (List.sort_uniq Int.compare ranks)
-
-let sharded_of_pred layout from =
-  let buf = ref [] in
-  let rank = ref 0 in
-  Layout.iter_scratch layout (fun sc ->
-      if Pred.holds from (State.scratch_view sc) then buf := !rank :: !buf;
-      incr rank);
-  Array.of_list (List.rev !buf)
-
 (* ------------------------------------------------------------------ *)
 (* Engine dispatch.                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -869,14 +834,21 @@ let build_span op program engine f =
       end;
       ts)
 
+(* Both residency modes explore from the same seeds: (rank, state) pairs
+   in ascending rank order, so initials are numbered identically. *)
+let explore ~limit ~engine ~workers layout program seeds =
+  match engine with
+  | Packed -> build_packed ~limit ~workers layout program ~seeds
+  | Sharded ->
+    build_sharded ~limit ~workers layout program
+      ~seed_ranks:(Array.of_list (List.map fst seeds))
+
 let build ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
     ~from =
   build_span "build" program engine (fun layout ->
-      match engine with
-      | Packed -> build_packed ~limit ~workers layout program ~from
-      | Sharded ->
-        build_sharded ~limit ~workers layout program
-          ~seed_ranks:(sharded_of_states layout from))
+      List.map (fun st -> (pack_initial layout st, st)) from
+      |> List.sort_uniq (fun (r1, _) (r2, _) -> Int.compare r1 r2)
+      |> explore ~limit ~engine ~workers layout program)
 
 let full ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program =
   if Program.space_size program > limit then raise (Too_large limit);
@@ -890,11 +862,14 @@ let full ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program =
 let of_pred ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
     ~from =
   build_span "of_pred" program engine (fun layout ->
-      match engine with
-      | Packed -> of_pred_packed ~limit ~workers layout program ~from
-      | Sharded ->
-        build_sharded ~limit ~workers layout program
-          ~seed_ranks:(sharded_of_pred layout from))
+      (* The sweep yields ranks in ascending order: the seeds need no
+         sorting.  Only the seeds collected count against [limit]. *)
+      let seeds = ref [] and count = ref 0 in
+      Layout.sweep layout (Pred.holds from) (fun rank sc ->
+          if !count >= limit then raise (Too_large limit);
+          incr count;
+          seeds := (rank, State.scratch_copy sc) :: !seeds);
+      explore ~limit ~engine ~workers layout program (List.rev !seeds))
 
 (* ------------------------------------------------------------------ *)
 (* Accessors.                                                          *)

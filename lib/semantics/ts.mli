@@ -64,7 +64,9 @@ val build :
 val full : ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> t
 
 (** [of_pred program ~from] explores from all product-space states
-    satisfying [from]. *)
+    satisfying [from], found by one {!Layout.sweep}; the exploration is
+    {!build}'s.
+    @raise Too_large if more than [limit] states are seeded or explored. *)
 val of_pred :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> from:Pred.t -> t
 

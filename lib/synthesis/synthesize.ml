@@ -270,15 +270,13 @@ let restrict_with guards p =
    instead of a whole-set rescan. *)
 let recompute_invariant ~candidate ~layout p restricted =
   let acc = ref [] in
-  Layout.iter_scratch layout (fun sc ->
-      let st = State.scratch_view sc in
-      if candidate st then acc := State.scratch_copy sc :: !acc);
-  let states = Array.of_list (List.rev !acc) in
+  Layout.sweep layout candidate (fun rank sc ->
+      acc := (rank, State.scratch_copy sc) :: !acc);
+  let ranked = Array.of_list (List.rev !acc) in
+  let states = Array.map snd ranked in
   let n = Array.length states in
   let local_of_rank = Hashtbl.create (max 16 (2 * n)) in
-  Array.iteri
-    (fun k st -> Hashtbl.replace local_of_rank (Layout.pack layout st) k)
-    states;
+  Array.iteri (fun k (rank, _) -> Hashtbl.replace local_of_rank rank k) ranked;
   let always_keep = Array.make n false in
   let succ = Array.make n [||] in
   Array.iteri

@@ -57,13 +57,16 @@ let test_layout_rank_order () =
 let test_layout_enumeration () =
   let l = layout () in
   let seen = ref [] in
-  Layout.iter_states l (fun st -> seen := st :: !seen);
+  Layout.sweep l
+    (fun _ -> true)
+    (fun rank sc -> seen := (rank, State.scratch_copy sc) :: !seen);
   let seen = List.rev !seen in
   Alcotest.(check int) "enumerates the whole space" (Layout.space l)
     (List.length seen);
   List.iteri
-    (fun rank st ->
-      Alcotest.(check bool) "iter_states is in rank order" true
+    (fun k (rank, st) ->
+      Alcotest.(check int) "sweep yields ranks in order" k rank;
+      Alcotest.(check bool) "sweep is in rank order" true
         (State.equal st (Layout.unpack l rank)))
     seen
 

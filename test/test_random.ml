@@ -11,7 +11,10 @@
    - Theorem 3.4 never reports premises-hold with a failing conclusion
      (the soundness contract), across random base/refinement pairs built
      by guard strengthening;
-   - the detector-conjunction lemma validates on random detector pairs. *)
+   - the detector-conjunction lemma validates on random detector pairs;
+   - [classify] over one shared tolerance context reports exactly what
+     three fresh checks do, and [init_states] is the invariant's states
+     of the product in [State.compare] order. *)
 
 open Detcor_kernel
 open Detcor_semantics
@@ -236,9 +239,66 @@ let prop_conjunction_contract =
       in
       Compose.validates (Compose.conjunction_schema ts d1 d2))
 
+(* One shared context must answer exactly what three fresh ones do: the
+   reports of [classify] print the same as three independent [check]s,
+   the recovery predicate included. *)
+let prop_classify_shares_context =
+  Util.qtest ~count:100 "classify over one context = three fresh checks"
+    QCheck.(pair program_arb (int_range 0 2))
+    (fun (rp, recover_kind) ->
+      let p = build rp in
+      let invariant = invariant_of rp p in
+      let spec = spec_of rp in
+      let faults = fault_of rp in
+      (* The default; a strict superset of S, whose recovery system must
+         not be mistaken for the base system; an unrelated predicate. *)
+      let recover =
+        match recover_kind with
+        | 0 -> None
+        | 1 -> Some (Pred.or_ invariant (pred_of_seed rp.bad_seed))
+        | _ -> Some (pred_of_seed (rp.invariant_seed lxor 5))
+      in
+      let shared =
+        Tolerance.classify ?recover p ~spec ~invariant ~faults
+      in
+      (* The recovery obligation, rebuilt from its definition: p from the
+         span states satisfying R. *)
+      let r = Option.value recover ~default:invariant in
+      let span = Tolerance.fault_span p ~faults ~from:invariant in
+      let _, recovered =
+        Tolerance.refines_from_states p ~spec ~invariant:r
+          ~init:(List.filter (Pred.holds r) span.states)
+      in
+      let pp_outcome = Fmt.str "%a" Check.pp_outcome in
+      List.for_all
+        (fun (tol, (report : Tolerance.report)) ->
+          let fresh =
+            Tolerance.check ?recover p ~spec ~invariant ~faults ~tol
+          in
+          String.equal
+            (Fmt.str "%a" Tolerance.pp_report report)
+            (Fmt.str "%a" Tolerance.pp_report fresh)
+          &&
+          match (tol, report.items) with
+          | Spec.Nonmasking, [ _; _; last ] ->
+            String.equal (pp_outcome last.outcome) (pp_outcome recovered)
+          | _ -> true)
+        shared)
+
+let prop_init_states_filter =
+  Util.qtest ~count:100 "init_states = invariant states of the product"
+    program_arb (fun rp ->
+      let p = build rp in
+      let invariant = pred_of_seed rp.invariant_seed in
+      List.equal State.equal
+        (Tolerance.init_states p ~invariant)
+        (List.filter (Pred.holds invariant) (Program.states p)))
+
 let suite =
   ( "randomized soundness",
     [
+      prop_classify_shares_context;
+      prop_init_states_filter;
       prop_span_closed;
       prop_masking_implies_failsafe;
       prop_synthesis_sound;
