@@ -123,10 +123,11 @@ let pp_report ppf r =
 (* Initial states: the invariant's states in the product space.        *)
 (* ------------------------------------------------------------------ *)
 
-(* The invariant states of the product space, in one sweep through the
-   program's layout.  Only the states collected count against [limit]: a
-   large product with a small invariant is swept in full, but an invariant
-   larger than [limit] exhausts the same state budget [Ts.build] does. *)
+(* The invariant states of the product space, in one pruned sweep
+   through the program's layout.  Only the states collected count against
+   [limit]: an invariant larger than [limit] exhausts the same state
+   budget [Ts.build] does.  [enumerated] counts invariant evaluations,
+   partial views included. *)
 let init_states ?(limit = Ts.default_limit) p ~invariant =
   Obs.span "tolerance.init_states" @@ fun () ->
   let layout = Layout.compile p in

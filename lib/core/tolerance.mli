@@ -93,10 +93,12 @@ val refines_from_states :
 
 (** The product-space states satisfying the invariant, in one
     {!Layout.sweep} ([State.compare] order).  Traced as the
-    [tolerance.init_states] span (annotated [enumerated], [collected])
-    and reported live as a progress phase of the same name.
+    [tolerance.init_states] span and reported live as a progress phase of
+    the same name, both with [enumerated] (invariant evaluations, on
+    partial and complete states alike) and [collected] (states kept).
     @raise Ts.Too_large if more than [limit] states satisfy the invariant
-    (the product sweep itself is not bounded). *)
+    ([limit] bounds the states collected; the sweep prunes every subtree
+    the invariant rejects on a partial state instead). *)
 val init_states : ?limit:int -> Program.t -> invariant:Pred.t -> State.t list
 
 (** {1 Tolerance contexts}

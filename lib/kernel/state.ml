@@ -19,6 +19,18 @@ type t = (string * Value.t) array
 
 let empty = [||]
 
+(* Partial views.  A scratch slot that the enumeration has not bound yet
+   holds [unbound], a value no other module can build: every observer
+   that reads a value checks for it by physical equality, inside the loop
+   it already runs, and raises [Undecided] instead of answering.  A
+   caller that gets an answer therefore knows it depends only on bound
+   slots. *)
+exception Undecided
+
+let unbound = Value.Sym "<unbound>"
+
+let[@inline] read v = if v == unbound then raise Undecided else v
+
 (* Binary search: index of [x], or [lnot insertion_point] when absent. *)
 let find_ix st x =
   let lo = ref 0 and hi = ref (Array.length st) in
@@ -34,12 +46,12 @@ let find_ix st x =
 
 let get st x =
   let i = find_ix st x in
-  if i >= 0 then snd (Array.unsafe_get st i)
+  if i >= 0 then read (snd (Array.unsafe_get st i))
   else Value.type_error "unbound variable %s" x
 
 let find_opt st x =
   let i = find_ix st x in
-  if i >= 0 then Some (snd (Array.unsafe_get st i)) else None
+  if i >= 0 then Some (read (snd (Array.unsafe_get st i))) else None
 
 let mem st x = find_ix st x >= 0
 
@@ -62,11 +74,12 @@ let set st x v =
 let of_list bindings =
   List.fold_left (fun st (x, v) -> set st x v) empty bindings
 
-let bindings st = Array.to_list st
+let bindings st =
+  Array.fold_right (fun ((_, v) as b) acc -> ignore (read v); b :: acc) st []
 
 let fold f st init =
   let acc = ref init in
-  Array.iter (fun (x, v) -> acc := f x v !acc) st;
+  Array.iter (fun (x, v) -> acc := f x (read v) !acc) st;
   !acc
 
 let cardinal st = Array.length st
@@ -85,7 +98,7 @@ let compare st st' =
       let c = String.compare x x' in
       if c <> 0 then c
       else
-        let c = Value.compare v v' in
+        let c = Value.compare (read v) (read v') in
         if c <> 0 then c else go (i + 1)
   in
   go 0
@@ -93,11 +106,16 @@ let compare st st' =
 let equal st st' =
   Array.length st = Array.length st'
   && Array.for_all2
-       (fun (x, v) (x', v') -> String.equal x x' && Value.equal v v')
+       (fun (x, v) (x', v') ->
+         String.equal x x' && Value.equal (read v) (read v'))
        st st'
 
 let hash st =
-  fold (fun x v acc -> (acc * 31) + Hashtbl.hash x + Value.hash v) st 0
+  let acc = ref 0 in
+  Array.iter
+    (fun (x, v) -> acc := (!acc * 31) + Hashtbl.hash x + Value.hash (read v))
+    st;
+  !acc
 
 module Var_set = Set.Make (String)
 
@@ -132,7 +150,7 @@ let diff2 (a : t) (b : t) f =
         if pa != pb then begin
           let xb, vb = pb in
           if not (String.equal xa xb) then raise Exit;
-          if not (Value.equal va vb) then f k va vb
+          if not (Value.equal (read va) (read vb)) then f k va vb
         end
       done;
       true
@@ -144,10 +162,12 @@ let diff2 (a : t) (b : t) f =
 
 type scratch = t
 
-let scratch_create vars = Array.map (fun x -> (x, Value.bot)) vars
+let scratch_create vars = Array.map (fun x -> (x, unbound)) vars
 
 let scratch_set (sc : scratch) k v =
   Array.unsafe_set sc k (fst (Array.unsafe_get sc k), v)
+
+let scratch_unset sc k = scratch_set sc k unbound
 
 let scratch_view (sc : scratch) : t = sc
 let scratch_copy = Array.copy

@@ -5,6 +5,15 @@
 
 type t
 
+(** Raised by every observer that reads a value ({!get}, {!find_opt},
+    {!fold}, {!bindings}, {!compare}, {!equal}, {!hash}, the differing
+    branch of {!diff2}, and through them {!project}, {!agree_on} and
+    {!pp}) when the value it reads is an unbound slot of a partial
+    {!scratch_view}.  Only {!Detcor_semantics.Layout.sweep} builds partial
+    views and handles this exception: it means "the answer depends on a
+    slot not bound yet". *)
+exception Undecided
+
 val empty : t
 val of_list : (string * Value.t) list -> t
 
@@ -59,12 +68,16 @@ val to_string : t -> string
 type scratch
 
 (** [scratch_create vars] is a fresh buffer over [vars], which must be in
-    ascending name order.  All slots start at [Value.bot]. *)
+    ascending name order.  All slots start unbound: reading one through
+    the view raises {!Undecided}. *)
 val scratch_create : string array -> scratch
 
 (** [scratch_set sc k v] writes [v] into slot [k] (the [k]-th variable of
     the buffer in name order). *)
 val scratch_set : scratch -> int -> Value.t -> unit
+
+(** [scratch_unset sc k] makes slot [k] unbound again. *)
+val scratch_unset : scratch -> int -> unit
 
 (** The buffer as a state, without copying.  Invalidated by the next
     {!scratch_set}. *)

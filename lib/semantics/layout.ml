@@ -223,30 +223,37 @@ let unpack_into t sc rank =
 (* A scratch buffer shaped for {!unpack_into}. *)
 let scratch t = State.scratch_create t.vars
 
-(* The one product-space sweep: every state, in rank order, through one
-   reusable scratch buffer, so visiting a state costs a slot write instead
-   of an allocation.  [f rank sc] runs for each state whose view passes
-   [test]; the buffer is invalidated by the next visit, so [f] must
-   [State.scratch_copy] any state it retains.  Raising from [test] or [f]
-   stops the sweep. *)
+(* The one product-space sweep (contract and soundness in layout.mli):
+   a backtracking search in rank order through one reusable scratch
+   buffer.  A [false] on the partial view after binding slot [k] skips
+   the whole subtree of [strides.(k)] ranks.  Slot [k] is unbound again
+   once its domain is exhausted, so a shallower test never reads a stale
+   deeper value.  Every test evaluation, inner or leaf, is a
+   [Budget.tick], so a sweep that prunes nothing stays interruptible. *)
 let sweep t test f =
   let n = Array.length t.vars in
   let sc = State.scratch_create t.vars in
-  let rank = ref 0 in
-  let rec go k =
-    if k = n then begin
+  let view = State.scratch_view sc in
+  let rec go k rank =
+    let dom = t.domains.(k) and stride = t.strides.(k) in
+    let leaf = k = n - 1 in
+    for i = 0 to Array.length dom - 1 do
+      State.scratch_set sc k dom.(i);
       Detcor_robust.Budget.tick ();
-      if test (State.scratch_view sc) then f !rank sc;
-      incr rank
-    end
-    else
-      Array.iter
-        (fun v ->
-          State.scratch_set sc k v;
-          go (k + 1))
-        t.domains.(k)
+      let rank = rank + (i * stride) in
+      if leaf then (if test view then f rank sc)
+      else
+        match test view with
+        | false -> ()
+        | true | (exception State.Undecided) -> go (k + 1) rank
+    done;
+    State.scratch_unset sc k
   in
-  go 0
+  if n > 0 then go 0 0
+  else begin
+    Detcor_robust.Budget.tick ();
+    if test view then f 0 sc
+  end
 
 let pp ppf t =
   Fmt.pf ppf "layout: %d vars, %d states" (Array.length t.vars) t.space

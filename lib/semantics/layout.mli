@@ -71,12 +71,32 @@ val unpack_into : t -> State.scratch -> int -> unit
 (** A scratch buffer over this layout's variables, for {!unpack_into}. *)
 val scratch : t -> State.scratch
 
-(** [sweep t test f] streams the full product space in ascending rank
-    order and calls [f rank sc] for each state whose view satisfies
-    [test].  One {!Detcor_kernel.State.scratch} buffer is reused for the
-    whole sweep and is invalidated by the next visit: [f] must
-    [State.scratch_copy] states it retains.  Raise from [test] or [f] to
-    stop early. *)
+(** [sweep t test f] calls [f rank sc] for each state of the product
+    space whose view satisfies [test], in ascending rank order.  One
+    {!Detcor_kernel.State.scratch} buffer is reused for the whole sweep
+    and is invalidated by the next visit: [f] must [State.scratch_copy]
+    states it retains.  Raise from [test] or [f] to stop early.
+
+    The sweep is a backtracking search in layout order.  After binding
+    each variable it runs [test] on a {e partial} view, whose unbound
+    slots raise {!Detcor_kernel.State.Undecided} when read; [false]
+    prunes every completion, [true] or [Undecided] descends.  At full
+    depth [test] runs on the complete state exactly as a full product
+    walk would, and [f] sees exactly the states and ranks such a walk
+    yields.
+
+    Contract on [test]: it must be a deterministic function of the values
+    it reads through {!Detcor_kernel.State}'s observers, and must not
+    catch {!Detcor_kernel.State.Undecided}.  Soundness: a call that
+    returns without raising [Undecided] has read only bound slots, so
+    every completion of the partial state reads the same values and gets
+    the same answer, or the same exception.  Hence [Pred.make] closures
+    over [State.get], [Pred.of_expr], [Pred.of_states] (hash and equal)
+    and rank lookups through {!pack} all prune soundly.  An exception
+    other than [Undecided] raised on a partial view propagates at once,
+    after the same [f] calls the full walk would have made before its
+    first leaf in that subtree raises it.  Each [test] call, at inner
+    nodes and leaves alike, is one [Budget.tick]. *)
 val sweep : t -> (State.t -> bool) -> (int -> State.scratch -> unit) -> unit
 
 val pp : t Fmt.t

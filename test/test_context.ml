@@ -6,7 +6,9 @@
      the intolerant memory);
    - a three-class verify builds each system once: base, span, and p over
      the span (3 builds, where per-class construction took 9);
-   - the initial-state sweep is its own traced phase;
+   - the initial-state sweep is its own traced phase, and prunes the
+     subtrees the invariant rejects (or, when the invariant reads the
+     last variable first, prunes nothing and still matches the full walk);
    - `simulate` takes its first invariant state from the sweep without
      materializing a 10^7-state product. *)
 
@@ -83,13 +85,13 @@ let test_three_builds () =
     Alcotest.(check (option int))
       "base, span and p over the span, once each" (Some 3) builds
 
-let test_init_states_span () =
+(* The attributes of the one [tolerance.init_states] span a traced
+   verify of [file] leaves, after checking its exit code. *)
+let init_states_attrs file args ~expect_exit =
   with_temp ".out" @@ fun out ->
   with_temp ".jsonl" @@ fun trace ->
-  let code =
-    run_dcheck [ "verify"; "fixtures/wide.dc"; "--trace"; trace ] ~out
-  in
-  Alcotest.(check int) "wide verify exits 0" 0 code;
+  let code = run_dcheck ([ "verify"; file; "--trace"; trace ] @ args) ~out in
+  Alcotest.(check int) (file ^ " verify exit code") expect_exit code;
   let ends =
     String.split_on_char '\n' (read_file trace)
     |> List.filter_map (fun line ->
@@ -104,18 +106,50 @@ let test_init_states_span () =
              Detcor_obs.Jsonx.member "attrs" j
            | _ -> None)
   in
-  let attr name a =
+  let attr a name =
     Option.bind (Detcor_obs.Jsonx.member name a) Detcor_obs.Jsonx.to_int
   in
   match ends with
-  | [ attrs ] ->
-    Alcotest.(check (option int))
-      "the whole product is enumerated" (Some 100_000)
-      (attr "enumerated" attrs);
-    Alcotest.(check (option int))
-      "one invariant state is collected" (Some 1) (attr "collected" attrs)
+  | [ a ] -> (attr a "enumerated", attr a "collected")
   | l ->
     Alcotest.failf "expected one init_states span, found %d" (List.length l)
+
+let test_init_states_span () =
+  let enumerated, collected =
+    init_states_attrs "fixtures/wide.dc" [] ~expect_exit:0
+  in
+  (* The sweep prunes every subtree the invariant rejects: 5 levels of
+     10 values each, one of which descends. *)
+  Alcotest.(check (option int))
+    "5 levels x 10 values are tested" (Some 50) enumerated;
+  Alcotest.(check (option int))
+    "one invariant state is collected" (Some 1) collected
+
+(* An invariant that reads the last layout variable first is undecided on
+   every partial view: nothing prunes, yet the sweep must still yield the
+   full walk's states and honour --limit. *)
+let test_unpruned_sweep () =
+  let e = Detcor_lang.Elaborate.load_file "fixtures/lastfirst.dc" in
+  let expected = ref [] in
+  Detcor_oracle.Reference_sweep.sweep
+    (Detcor_semantics.Layout.compile e.program)
+    (Detcor_kernel.Pred.holds e.invariant)
+    (fun _ sc -> expected := Detcor_kernel.State.scratch_copy sc :: !expected);
+  let show = List.map Detcor_kernel.State.to_string in
+  Alcotest.(check (list string))
+    "init states = the full walk's" (show (List.rev !expected))
+    (show (Detcor_core.Tolerance.init_states e.program ~invariant:e.invariant));
+  let enumerated, collected =
+    init_states_attrs "fixtures/lastfirst.dc" [ "--limit"; "1000" ]
+      ~expect_exit:0
+  in
+  Alcotest.(check (option int))
+    "every partial and full state is tested" (Some (1110 + 10_000))
+    enumerated;
+  Alcotest.(check (option int)) "100 invariant states" (Some 100) collected;
+  with_temp ".out" @@ fun out ->
+  Alcotest.(check int) "--limit 99 exhausts the state budget" 3
+    (run_dcheck [ "verify"; "fixtures/lastfirst.dc"; "--limit"; "99" ] ~out)
 
 let test_simulate_sparse () =
   with_temp ".out" @@ fun out ->
@@ -135,6 +169,8 @@ let suite =
           test_three_builds;
         Alcotest.test_case "init sweep is a traced phase" `Quick
           test_init_states_span;
+        Alcotest.test_case "sweep that prunes nothing" `Quick
+          test_unpruned_sweep;
         Alcotest.test_case "simulate does not materialize the product" `Quick
           test_simulate_sparse;
       ] )
