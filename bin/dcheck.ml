@@ -606,13 +606,23 @@ let info_cmd =
     List.iter
       (fun ac -> Fmt.pr "    %s@." (Action.name ac))
       (Fault.actions e.faults);
-    Fmt.pr "  state space:   %d states@." (Program.space_size e.program);
+    let space = Program.space_size e.program in
+    Fmt.pr "  state space:   %d states@." space;
     Fmt.pr "  invariant:     %s@." (Pred.name e.invariant);
     Fmt.pr "  specification: %s@." (Spec.name e.spec);
-    let issues = Program.well_formed e.program in
-    if issues <> [] then begin
-      Fmt.pr "  WARNING: ill-formed actions:@.";
-      List.iter (fun m -> Fmt.pr "    %s@." m) issues
+    (* The well-formedness walk executes every action on every product
+       state; past --limit it is skipped.  Escapes inside the span are
+       still reported: the exploration below raises them as located
+       type errors. *)
+    if space > limit then
+      Fmt.pr "  well-formedness: not checked (%d states > --limit %d)@." space
+        limit
+    else begin
+      let issues = Program.well_formed e.program in
+      if issues <> [] then begin
+        Fmt.pr "  WARNING: ill-formed actions:@.";
+        List.iter (fun m -> Fmt.pr "    %s@." m) issues
+      end
     end;
     (* Explore from the invariant to report the engine and its shards.  A
        state space exceeding --limit is NOT swallowed here: it propagates

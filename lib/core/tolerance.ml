@@ -133,20 +133,25 @@ let init_states ?(limit = Ts.default_limit) p ~invariant =
   let layout = Layout.compile p in
   let acc = ref [] in
   let enumerated = ref 0 and collected = ref 0 in
-  Progress.with_phase "tolerance.init_states"
-    (fun () -> [ ("enumerated", !enumerated); ("collected", !collected) ])
+  (* Annotated on every exit, so a sweep stopped by [Too_large] or a
+     budget trip still reports how far it got. *)
+  Fun.protect
+    ~finally:(fun () ->
+      if Obs.on () then
+        Obs.annotate
+          [ Attr.int "enumerated" !enumerated; Attr.int "collected" !collected ])
     (fun () ->
-      Layout.sweep layout
-        (fun st ->
-          incr enumerated;
-          Pred.holds invariant st)
-        (fun _ sc ->
-          if !collected >= limit then raise (Ts.Too_large limit);
-          incr collected;
-          acc := State.scratch_copy sc :: !acc));
-  if Obs.on () then
-    Obs.annotate
-      [ Attr.int "enumerated" !enumerated; Attr.int "collected" !collected ];
+      Progress.with_phase "tolerance.init_states"
+        (fun () -> [ ("enumerated", !enumerated); ("collected", !collected) ])
+        (fun () ->
+          Layout.sweep layout
+            (fun st ->
+              incr enumerated;
+              Pred.holds invariant st)
+            (fun _ sc ->
+              if !collected >= limit then raise (Ts.Too_large limit);
+              incr collected;
+              acc := State.scratch_copy sc :: !acc)));
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)

@@ -9,12 +9,20 @@
    One engine explores, with two residency modes:
 
    - [Packed] (the default): a [Layout] compiles the program's variables
-     and domains to integer indices once, states are interned by their
-     packed rank (a single int), edges land in CSR (compressed sparse row)
-     arrays, and predicate / guard evaluations are memoized in per-system
-     bitsets so [holds_at] and [enabled] answer in O(1) after one sweep.
-     Frontier expansion can fan out over OCaml 5 domains ([?workers]) with
-     a deterministic in-order merge, so the numbering is independent of the
+     and domains to integer indices once, and one breadth-first loop
+     ([explore_packed]) builds every in-memory system.  Its seeds are the
+     initial states of [build], the states satisfying [of_pred]'s
+     predicate, or every rank of the product for [full] — the span of
+     [true].  The builder records each state's packed rank (a single
+     int), so successors are ranked as deltas against their source
+     ([Layout.pack_from]) and checkpoints persist ranks without
+     re-packing.  Interning maps ranks to ids through a hash table, except
+     when the seeds are the whole product: then id = rank and the table
+     is never filled.  Edges land in CSR (compressed sparse row) arrays, and
+     predicate / guard evaluations are memoized in per-system bitsets so
+     [holds_at] and [enabled] answer in O(1) after one sweep.  Frontier
+     expansion can fan out over OCaml 5 domains ([?workers]) with a
+     deterministic in-order merge, so the numbering is independent of the
      worker count.
    - [Sharded]: the same exploration order over hash-partitioned arenas
      that spill to disk (see [build_sharded]).
@@ -102,6 +110,7 @@ let default_limit = 2_000_000
 
 type builder = {
   mutable states_buf : State.t array;
+  mutable ranks : int array; (* ranks.(i) = layout rank of state i *)
   mutable count : int;
   mutable ea : int array; (* edge action ids *)
   mutable et : int array; (* edge targets *)
@@ -111,19 +120,24 @@ type builder = {
   limit : int;
 }
 
-let new_builder ~limit =
+(* [capacity] is the number of seeds about to be added: a whole-product
+   build knows its exact state count up front and sizes the buffers once
+   instead of doubling through a dozen reallocations. *)
+let new_builder ~limit ~capacity =
+  let capacity = max 1024 capacity in
   {
-    states_buf = Array.make 1024 State.empty;
+    states_buf = Array.make capacity State.empty;
+    ranks = Array.make capacity 0;
     count = 0;
-    ea = Array.make 4096 0;
-    et = Array.make 4096 0;
+    ea = Array.make (max 4096 capacity) 0;
+    et = Array.make (max 4096 capacity) 0;
     elen = 0;
-    rows = Array.make 1025 0;
+    rows = Array.make (capacity + 1) 0;
     expanded = 0;
     limit;
   }
 
-let add_state b st =
+let add_state b ~rank st =
   let i = b.count in
   if i >= b.limit then raise (Too_large b.limit);
   if Obs.on () || Progress.armed () then live_state_interned ();
@@ -133,11 +147,15 @@ let add_state b st =
     let states' = Array.make (2 * cap) State.empty in
     Array.blit b.states_buf 0 states' 0 cap;
     b.states_buf <- states';
+    let ranks' = Array.make (2 * cap) 0 in
+    Array.blit b.ranks 0 ranks' 0 cap;
+    b.ranks <- ranks';
     let rows' = Array.make ((2 * cap) + 1) 0 in
     Array.blit b.rows 0 rows' 0 (cap + 1);
     b.rows <- rows'
   end;
   b.states_buf.(i) <- st;
+  b.ranks.(i) <- rank;
   b.count <- i + 1;
   i
 
@@ -162,20 +180,21 @@ let close_row b i =
   b.expanded <- i + 1
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint payloads for the packed construction loops.               *)
+(* Checkpoint payload of the packed exploration.                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A capture persists the closed-row CSR prefix plus (for the BFS, which
-   discovers states as it goes) the packed rank of every state interned
-   so far.  Captures fire from [Budget] checkpoints on the orchestrating
-   domain only: at those points states [0..count) are fully written and
-   edges beyond [rows.(expanded)] belong to a half-merged row, so the
-   prefix below is consistent by construction.  Restoring re-interns the
-   ranks in id order and resumes expansion at [expanded]; everything
-   downstream is deterministic, so the finished system is byte-identical
-   to an uninterrupted build. *)
+(* A capture persists the closed-row CSR prefix plus the rank of every
+   state discovered past the seeds, read from the builder.  Captures fire
+   from [Budget] checkpoints on the orchestrating domain only: at those
+   points states [0..count) are fully written and edges beyond
+   [rows.(expanded)] belong to a half-merged row, so the prefix below is
+   consistent by construction.  The resumed run re-derives the seeds
+   itself; restoring re-interns the discovered ranks in id order and
+   resumes expansion at [expanded].  Everything downstream is
+   deterministic, so the finished system is byte-identical to an
+   uninterrupted build. *)
 type build_snap = {
-  s_ranks : int array; (* rank of state i; empty for the full walk *)
+  s_ranks : int array; (* ranks of states seeded..count-1 *)
   s_rows : int array; (* rows.(0 .. expanded) *)
   s_ea : int array; (* closed edges only *)
   s_et : int array;
@@ -193,10 +212,10 @@ let ensure_edges b n =
     b.et <- et'
   end
 
-let snap_of_builder ?(ranks = [||]) b =
+let snap_of_builder b ~seeded =
   let closed = b.rows.(b.expanded) in
   {
-    s_ranks = ranks;
+    s_ranks = Array.sub b.ranks seeded (b.count - seeded);
     s_rows = Array.sub b.rows 0 (b.expanded + 1);
     s_ea = Array.sub b.ea 0 closed;
     s_et = Array.sub b.et 0 closed;
@@ -266,9 +285,9 @@ let escape_error ~action ~src e =
     (State.to_string src) Layout.pp_escape e
 
 (* Some successor of [src] failed to pack: re-execute the actions to find
-   the first escaping one in edge order.  Expansion loops wrap a whole
-   state in one handler and call this only on the failure path, so the
-   hot loops allocate exactly as they would without the check. *)
+   the first escaping one in edge order.  Expansion wraps a whole state
+   in one handler and calls this only on the failure path, so the hot
+   loop allocates exactly as it would without the check. *)
 let escape_at layout actions src =
   Array.iter
     (fun ac ->
@@ -294,25 +313,30 @@ let pack_initial layout st =
 (* Packed engine: rank-interned states, optional parallel frontier.    *)
 (* ------------------------------------------------------------------ *)
 
-(* Successors of [st] under all actions, with packed ranks, in the same
-   deterministic order as the sequential loop.  Pure: safe to run from
-   worker domains. *)
-let successors_packed layout actions st =
+(* Expand the state [st] of rank [rank]: [emit aid st' rank'] for every
+   successor, in edge order.  Successors are ranked as deltas against
+   their source ([Layout.pack_from]), which is why the builder keeps each
+   state's rank.  Pure apart from [emit]: safe to run from worker
+   domains. *)
+let expand layout actions ~rank st emit =
   Detcor_robust.Budget.tick ();
-  let acc = ref [] in
-  (try
-     Array.iteri
-       (fun aid ac ->
-         List.iter
-           (fun st' -> acc := (aid, st', Layout.pack layout st') :: !acc)
-           (Action.execute ac st))
-       actions
-   with Layout.Unrepresentable _ -> escape_at layout actions st);
-  List.rev !acc
+  try
+    Array.iteri
+      (fun aid ac ->
+        List.iter
+          (fun st' -> emit aid st' (Layout.pack_from layout ~src_rank:rank st st'))
+          (Action.execute ac st))
+      actions
+  with Layout.Unrepresentable _ -> escape_at layout actions st
 
 (* Expand the frontier slice [lo, hi) in parallel: split it into [workers]
    chunks, compute successor lists in worker domains, and merge them back
-   in id order so the numbering matches the sequential engine exactly.
+   in id order through [intern], so the numbering matches the sequential
+   loop exactly.  Workers only read the builder and the rank index: the
+   merge starts after every domain has joined.  A worker keeps a
+   successor's state only while its rank is not [known]: the merge needs
+   states for new ranks alone, so a whole-product build carries just
+   (action, rank) pairs.
 
    A worker that dies with a toolkit error re-raises it at its merge
    position: a tripped budget cancels the build, and a domain escape is
@@ -322,59 +346,46 @@ let successors_packed layout actions st =
    point its results would have merged, so ordering — and therefore the
    numbering — is unchanged.
    Returns the number of lost workers so the caller can shrink the pool. *)
-let expand_parallel layout actions b index ~lo ~hi ~workers =
-  let len = hi - lo in
-  let chunk = (len + workers - 1) / workers in
-  let slices =
-    List.init workers (fun w ->
-        let start = lo + (w * chunk) in
-        let stop = min hi (start + chunk) in
-        if start >= stop then [||]
-        else Array.init (stop - start) (fun k -> b.states_buf.(start + k)))
+let expand_parallel layout actions b ~known intern ~lo ~hi ~workers =
+  let chunk = (hi - lo + workers - 1) / workers in
+  let bounds w = (lo + (w * chunk), min hi (lo + ((w + 1) * chunk))) in
+  let expand_chunk w =
+    let start, stop = bounds w in
+    Array.init (max 0 (stop - start)) (fun k ->
+        let i = start + k in
+        let acc = ref [] in
+        expand layout actions ~rank:b.ranks.(i) b.states_buf.(i)
+          (fun aid st' rank ->
+            let st' = if known rank then State.empty else st' in
+            acc := (aid, st', rank) :: !acc);
+        List.rev !acc)
   in
   let domains =
-    List.map
-      (fun slice ->
+    List.init workers (fun w ->
         Stdlib.Domain.spawn (fun () ->
             try
               Detcor_robust.Failpoint.hit "engine.worker";
-              let succs = Array.map (successors_packed layout actions) slice in
+              let succs = expand_chunk w in
               (* Incremented from the worker domain: the counters must be
                  atomic under parallel exploration (tested). *)
               if Obs.on () then
-                Metrics.incr ~by:(Array.length slice) m_par_expanded;
+                Metrics.incr ~by:(Array.length succs) m_par_expanded;
               Ok succs
             with e -> Error e))
-      slices
   in
   if Obs.on () then
-    List.iter
-      (fun slice ->
-        let len = Array.length slice in
-        if len > 0 then Metrics.observe h_worker_chunk len)
-      slices;
+    for w = 0 to workers - 1 do
+      let start, stop = bounds w in
+      if stop > start then Metrics.observe h_worker_chunk (stop - start)
+    done;
   let results = List.map Stdlib.Domain.join domains in
-  let merge i succs =
-    Detcor_robust.Budget.tick ();
-    List.iter
-      (fun (aid, st', rank) ->
-        let j =
-          match Hashtbl.find_opt index rank with
-          | Some j -> j
-          | None ->
-            let j = add_state b st' in
-            Hashtbl.add index rank j;
-            j
-        in
-        push_edge b aid j)
-      succs;
-    close_row b i
-  in
   let cursor = ref lo in
   let consume per_state =
     Array.iter
       (fun succs ->
-        merge !cursor succs;
+        Detcor_robust.Budget.tick ();
+        List.iter (fun (aid, st', rank) -> push_edge b aid (intern st' rank)) succs;
+        close_row b !cursor;
         incr cursor)
       per_state
   in
@@ -390,42 +401,53 @@ let expand_parallel layout actions b index ~lo ~hi ~workers =
         if Obs.on () then
           Obs.event "ts.worker_retry" ~level:Attr.Warn
             ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-        consume
-          (Array.map (successors_packed layout actions) (List.nth slices w)))
+        consume (expand_chunk w))
     results;
   !retried
 
-let explore_packed ~workers layout program ~actions ~b ~index ~initials =
-  let intern_code st rank =
-    match Hashtbl.find_opt index rank with
-    | Some i -> i
-    | None ->
-      let i = add_state b st in
-      Hashtbl.add index rank i;
-      i
+(* The packed exploration: breadth-first from the seeds already in [b]
+   (interned in ascending rank order, so initials are numbered in
+   [State.compare] order), expanding states in id order.
+
+   Interning maps a successor's rank to its id.  When the seeds are the
+   whole product ([full]), state i has rank i and nothing new can be
+   found, so a rank is its own id and the table stays empty; otherwise
+   a hash table from rank to id interns new states as they are found. *)
+let explore_packed ~workers layout program ~b =
+  let actions = Array.of_list (Program.actions program) in
+  let seeded = b.count in
+  let identity = seeded = Layout.space layout in
+  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  if not identity then
+    for i = 0 to seeded - 1 do
+      Hashtbl.add index b.ranks.(i) i
+    done;
+  let known rank = identity || Hashtbl.mem index rank in
+  let intern st rank =
+    if identity then rank
+    else
+      match Hashtbl.find_opt index rank with
+      | Some i -> i
+      | None ->
+        let i = add_state b ~rank st in
+        Hashtbl.add index rank i;
+        i
   in
   let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.bfs" in
   (match Detcor_robust.Checkpoint.resume_data phase with
   | Some (Detcor_robust.Checkpoint.Midway data)
   | Some (Detcor_robust.Checkpoint.Done data) ->
     let snap : build_snap = Marshal.from_string data 0 in
-    (* Re-intern in id order: the snapshot's rank sequence is the
-       discovery order, so ids land exactly where they were.  States
-       the caller already interned (initials) occupy the prefix. *)
-    Array.iteri
-      (fun i rank ->
-        if i >= b.count then
-          ignore (intern_code (Layout.unpack layout rank) rank))
+    (* The snapshot's ranks are in discovery order: re-interning them
+       after the seeds lands every id exactly where it was. *)
+    Array.iter
+      (fun rank -> ignore (intern (Layout.unpack layout rank) rank))
       snap.s_ranks;
     restore_edges b snap
   | None -> ());
-  let capture () =
-    Marshal.to_string
-      (snap_of_builder b
-         ~ranks:(Array.init b.count (fun i -> Layout.pack layout b.states_buf.(i))))
-      []
-  in
+  let capture () = Marshal.to_string (snap_of_builder b ~seeded) [] in
   Detcor_robust.Checkpoint.set_capture phase capture;
+  let emit aid st' rank = push_edge b aid (intern st' rank) in
   (* A lost worker shrinks the pool for the rest of the build. *)
   let eff_workers = ref workers in
   let cursor = ref b.expanded in
@@ -449,167 +471,38 @@ let explore_packed ~workers layout program ~actions ~b ~index ~initials =
         end;
         if !eff_workers > 1 && hi - lo >= max 2 (!eff_workers * 8) then begin
           let lost =
-            expand_parallel layout actions b index ~lo ~hi ~workers:!eff_workers
+            expand_parallel layout actions b ~known intern ~lo ~hi
+              ~workers:!eff_workers
           in
           if lost > 0 then eff_workers := max 1 (!eff_workers - lost)
         end
         else
           for i = lo to hi - 1 do
-            Detcor_robust.Budget.tick ();
-            let st = b.states_buf.(i) in
-            (try
-               Array.iteri
-                 (fun aid ac ->
-                   List.iter
-                     (fun st' ->
-                       push_edge b aid
-                         (intern_code st' (Layout.pack layout st')))
-                     (Action.execute ac st))
-                 actions
-             with Layout.Unrepresentable _ -> escape_at layout actions st);
+            expand layout actions ~rank:b.ranks.(i) b.states_buf.(i) emit;
             close_row b i
           done;
         cursor := hi
       done);
-  Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions ~initials
-    ~lookup:(fun st ->
-      match Layout.pack_opt layout st with
-      | None -> None
-      | Some rank -> Hashtbl.find_opt index rank)
+  (* The final payload only matters to a checkpoint session: without one,
+     skip copying the whole CSR into a string nobody reads. *)
+  if Detcor_robust.Checkpoint.active () then
+    Detcor_robust.Checkpoint.complete phase (capture ());
+  finish b ~program ~actions
+    ~initials:(List.init seeded Fun.id)
+    ~lookup:
+      (if identity then Layout.pack_opt layout
+       else fun st ->
+         match Layout.pack_opt layout st with
+         | None -> None
+         | Some rank -> Hashtbl.find_opt index rank)
     ~layout
 
 (* [seeds] are (rank, state) pairs in ascending rank order, without
-   duplicates: interning them first numbers the initials in rank
-   (= State.compare) order. *)
+   duplicates. *)
 let build_packed ~limit ~workers layout program ~seeds =
-  let actions = Array.of_list (Program.actions program) in
-  let index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let b = new_builder ~limit in
-  let initials =
-    List.map
-      (fun (rank, st) ->
-        let i = add_state b st in
-        Hashtbl.add index rank i;
-        i)
-      seeds
-  in
-  explore_packed ~workers layout program ~actions ~b ~index ~initials
-
-(* Packed [full]: every product state is present, so a state's index IS
-   its rank — no interning table at all.  States are materialized in rank
-   order (= State.compare order) and successors resolve to indices with
-   one [Layout.pack].  With [workers], the
-   execute+pack phase fans out over rank chunks; the merge is a plain
-   append in id order, so the result is independent of the worker count. *)
-let successor_ranks layout actions ~rank st =
-  Detcor_robust.Budget.tick ();
-  let acc = ref [] in
-  (try
-     Array.iteri
-       (fun aid ac ->
-         List.iter
-           (fun st' ->
-             acc := (aid, Layout.pack_from layout ~src_rank:rank st st') :: !acc)
-           (Action.execute ac st))
-       actions
-   with Layout.Unrepresentable _ -> escape_at layout actions st);
-  List.rev !acc
-
-let full_packed ~limit ~workers layout program =
-  let actions = Array.of_list (Program.actions program) in
-  let b = new_builder ~limit in
-  (* The exact state count is known up front: size the buffers once
-     instead of doubling through a dozen reallocations. *)
-  let space = Layout.space layout in
-  if space > Array.length b.states_buf && space <= limit then begin
-    b.states_buf <- Array.make space State.empty;
-    b.rows <- Array.make (space + 1) 0;
-    b.ea <- Array.make space 0;
-    b.et <- Array.make space 0
-  end;
-  Layout.sweep layout
-    (fun _ -> true)
-    (fun _ sc -> ignore (add_state b (State.scratch_copy sc)));
-  let n = b.count in
-  let phase = Detcor_robust.Checkpoint.enter ~kind:"ts.full" in
-  (match Detcor_robust.Checkpoint.resume_data phase with
-  | Some (Detcor_robust.Checkpoint.Midway data)
-  | Some (Detcor_robust.Checkpoint.Done data) ->
-    (* State i IS rank i here: the materialization above already rebuilt
-       every state, so only the edge prefix needs restoring. *)
-    restore_edges b (Marshal.from_string data 0 : build_snap)
-  | None -> ());
-  let capture () = Marshal.to_string (snap_of_builder b) [] in
-  Detcor_robust.Checkpoint.set_capture phase capture;
-  let base = b.expanded in
-  Progress.with_phase "engine.full"
-    (fun () -> [ ("expanded", b.expanded); ("states", n) ])
-  @@ fun () ->
-  if workers > 1 && n - base >= max 2 (workers * 8) then begin
-    let chunk = (n - base + workers - 1) / workers in
-    let bounds w = (base + (w * chunk), min n (base + ((w + 1) * chunk))) in
-    let expand_chunk w =
-      let lo, hi = bounds w in
-      Array.init (max 0 (hi - lo)) (fun k ->
-          successor_ranks layout actions ~rank:(lo + k) b.states_buf.(lo + k))
-    in
-    let domains =
-      List.init workers (fun w ->
-          Stdlib.Domain.spawn (fun () ->
-              try
-                Detcor_robust.Failpoint.hit "engine.worker";
-                let succs = expand_chunk w in
-                if Obs.on () then
-                  Metrics.incr ~by:(Array.length succs) m_par_expanded;
-                Ok succs
-              with e -> Error e))
-    in
-    let results = List.map Stdlib.Domain.join domains in
-    let cursor = ref base in
-    let consume per_state =
-      Array.iter
-        (fun succs ->
-          Detcor_robust.Budget.tick ();
-          List.iter (fun (aid, rank) -> push_edge b aid rank) succs;
-          close_row b !cursor;
-          incr cursor)
-        per_state
-    in
-    List.iteri
-      (fun w result ->
-        match result with
-        | Ok per_state -> consume per_state
-        | Error (Detcor_robust.Error.Detcor_error _ as e) -> raise e
-        | Error e ->
-          (* Lost worker: recompute its chunk here, in merge position. *)
-          Metrics.incr m_worker_retries;
-          if Obs.on () then
-            Obs.event "ts.worker_retry" ~level:Attr.Warn
-              ~attrs:[ Attr.str "exn" (Printexc.to_string e) ];
-          consume (expand_chunk w))
-      results
-  end
-  else
-    for i = base to n - 1 do
-      Detcor_robust.Budget.tick ();
-      let st = b.states_buf.(i) in
-      (try
-         Array.iteri
-           (fun aid ac ->
-             List.iter
-               (fun st' ->
-                 push_edge b aid (Layout.pack_from layout ~src_rank:i st st'))
-               (Action.execute ac st))
-           actions
-       with Layout.Unrepresentable _ -> escape_at layout actions st);
-      close_row b i
-    done;
-  Detcor_robust.Checkpoint.complete phase (capture ());
-  finish b ~program ~actions
-    ~initials:(List.init n Fun.id)
-    ~lookup:(fun st -> Layout.pack_opt layout st)
-    ~layout
+  let b = new_builder ~limit ~capacity:(List.length seeds) in
+  List.iter (fun (rank, st) -> ignore (add_state b ~rank st)) seeds;
+  explore_packed ~workers layout program ~b
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine: hash-partitioned, disk-spillable arenas.            *)
@@ -853,11 +746,19 @@ let build ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
 let full ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program =
   if Program.space_size program > limit then raise (Too_large limit);
   build_span "full" program engine (fun layout ->
+      let space = Layout.space layout in
       match engine with
-      | Packed -> full_packed ~limit ~workers layout program
+      | Packed ->
+        (* Every rank is a seed: the sweep streams them in rank order
+           straight into a builder sized for the whole product. *)
+        let b = new_builder ~limit ~capacity:space in
+        Layout.sweep layout
+          (fun _ -> true)
+          (fun rank sc -> ignore (add_state b ~rank (State.scratch_copy sc)));
+        explore_packed ~workers layout program ~b
       | Sharded ->
         build_sharded ~limit ~workers layout program
-          ~seed_ranks:(Array.init (Layout.space layout) Fun.id))
+          ~seed_ranks:(Array.init space Fun.id))
 
 let of_pred ?(limit = default_limit) ?(engine = Packed) ?(workers = 1) program
     ~from =

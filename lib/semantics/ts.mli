@@ -60,7 +60,10 @@ val build :
   ?limit:int -> ?engine:engine -> ?workers:int -> Program.t ->
   from:State.t list -> t
 
-(** [full program] builds the system over the whole product state space. *)
+(** [full program] builds the system over the whole product state space:
+    {!build}'s exploration seeded with every state, so its states are
+    numbered in [State.compare] order.
+    @raise Too_large if the product has more than [limit] states. *)
 val full : ?limit:int -> ?engine:engine -> ?workers:int -> Program.t -> t
 
 (** [of_pred program ~from] explores from all product-space states

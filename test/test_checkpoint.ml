@@ -7,9 +7,10 @@
    is an environmental fault, not a toolkit bug).  Session lifecycle:
    fingerprint and phase-kind mismatches are Snapshot errors too.
    End-to-end: a ring5 fault-span build interrupted twice by a state
-   budget and resumed from its snapshot converges to a system
-   structurally identical to the uninterrupted build, and a build whose
-   worker domains are all killed by an armed failpoint degrades to
+   budget, and a ring5 whole-product build interrupted twice mid-
+   expansion, each resumed from its snapshot, converge to systems
+   structurally identical to the uninterrupted builds; and builds whose
+   worker domains are all killed by an armed failpoint degrade to
    sequential recomputation with the same result. *)
 
 module Checkpoint = Detcor_robust.Checkpoint
@@ -195,32 +196,98 @@ let test_digest_separation () =
 
 let ring5 = lazy (Detcor_lang.Elaborate.load_file "../examples/dc/ring5.dc")
 
-let ring5_span () =
+let ring5_span ?workers () =
   let e = Lazy.force ring5 in
-  (Tolerance.fault_span e.program ~faults:e.faults ~from:e.invariant).ts_pf
+  (Tolerance.fault_span ?workers e.program ~faults:e.faults ~from:e.invariant)
+    .ts_pf
+
+(* The whole p[]F product: the exploration seeded with every rank. *)
+let ring5_full ?workers () =
+  let e = Lazy.force ring5 in
+  Ts.full ?workers (Detcor_core.Fault.compose e.program e.faults)
+
+(* One leg of an interrupted build: [run] under a checkpoint session
+   writing [snap], resuming from it when asked.  A resource trip unwinds
+   through [Checkpoint.stop], whose final save persists the mid-build
+   capture the next leg resumes from; the leg then returns [None]. *)
+let leg ~snap ~fingerprint ?resume run =
+  Checkpoint.start ~interval:3600.0 ~write:snap ?resume ~fingerprint ();
+  Fun.protect ~finally:Checkpoint.stop @@ fun () ->
+  match run () with
+  | ts -> Some ts
+  | exception Error.Detcor_error (Error.Resource _) -> None
 
 let test_interrupted_resume () =
   with_temp @@ fun snap ->
   let fingerprint = Checkpoint.digest [ "test"; "ring5 span" ] in
   let uninterrupted = ring5_span () in
-  (* Two legs tripped by a growing state ceiling, then one to the end.
-     Each trip unwinds through [Checkpoint.stop], whose final save
-     persists the mid-BFS capture the next leg resumes from. *)
-  let leg ?resume ?max_states () =
-    Checkpoint.start ~interval:3600.0 ~write:snap ?resume ~fingerprint ();
-    Fun.protect ~finally:Checkpoint.stop @@ fun () ->
-    match max_states with
-    | None -> Some (ring5_span ())
-    | Some n -> (
-      match Budget.with_budget (Budget.make ~max_states:n ()) ring5_span with
-      | _ -> Alcotest.fail "state budget did not trip"
-      | exception Error.Detcor_error (Error.Resource _) -> None)
+  (* Two legs tripped by a growing state ceiling, then one to the end. *)
+  let tripped n () =
+    Budget.with_budget (Budget.make ~max_states:n ()) ring5_span
   in
-  ignore (leg ~max_states:2000 ());
+  let leg = leg ~snap ~fingerprint in
+  if Option.is_some (leg (tripped 2000)) then
+    Alcotest.fail "state budget did not trip";
   Alcotest.(check bool) "snapshot written on first trip" true
     (Sys.file_exists snap);
-  ignore (leg ~resume:snap ~max_states:6000 ());
-  let resumed = Option.get (leg ~resume:snap ()) in
+  if Option.is_some (leg ~resume:snap (tripped 6000)) then
+    Alcotest.fail "state budget did not trip";
+  let resumed = Option.get (leg ~resume:snap ring5_span) in
+  Alcotest.(check bool) "resumed system identical" true
+    (Util.ts_equal uninterrupted resumed)
+
+(* Run [f] under a fresh budget (so tick counting starts at zero) whose
+   tick hook counts its calls and, at call [trip], raises a time-budget
+   error.  The hook runs on [Budget.tick]'s slow path: every 128 ticks
+   while a checkpoint session is armed.  Returns [f]'s result and the
+   number of calls. *)
+let counting_ticks ?trip f =
+  let calls = ref 0 in
+  Budget.set_tick_hook (fun () ->
+      incr calls;
+      if Some !calls = trip then
+        Error.resource ~kind:Error.Time ~spent:!calls ~budget:!calls);
+  Fun.protect ~finally:(fun () -> Budget.set_tick_hook (fun () -> ()))
+  @@ fun () ->
+  let r = Budget.with_budget (Budget.make ()) f in
+  (r, !calls)
+
+(* The [ts.bfs] entry of the snapshot, which must be mid-loop: the phase
+   is entered only once the sweep has seeded the whole product. *)
+let midway_bfs snap =
+  let _, entries = Checkpoint.read_file ~path:snap in
+  match
+    List.filter
+      (fun (e : Checkpoint.entry) -> String.equal e.kind "ts.bfs")
+      (Array.to_list entries)
+  with
+  | [ e ] when not e.complete -> e.data
+  | _ -> Alcotest.fail "snapshot holds no mid-expansion ts.bfs entry"
+
+(* A state ceiling cannot interrupt the whole-product build mid-
+   expansion: the sweep seeds every state before expansion starts.  A
+   tick hook does, calibrated on an uninterrupted armed run of [total]
+   hook calls, whose last [n / 128] belong to the expansion (one tick
+   per state).  Each interrupted leg runs the sweep again and then a
+   third of the expansion, so the second trip lands two thirds in. *)
+let test_full_resume () =
+  with_temp @@ fun snap ->
+  let fingerprint = Checkpoint.digest [ "test"; "ring5 full" ] in
+  let leg = leg ~snap ~fingerprint in
+  let uninterrupted, total =
+    counting_ticks (fun () -> Option.get (leg (fun () -> ring5_full ())))
+  in
+  let expansion = Ts.num_states uninterrupted / 128 in
+  let trip = total - expansion + (expansion / 3) in
+  let tripped () = fst (counting_ticks ~trip (fun () -> ring5_full ())) in
+  if Option.is_some (leg tripped) then Alcotest.fail "tick hook did not trip";
+  let first = midway_bfs snap in
+  if Option.is_some (leg ~resume:snap tripped) then
+    Alcotest.fail "tick hook did not trip";
+  let second = midway_bfs snap in
+  Alcotest.(check bool) "second leg resumed where the first stopped" true
+    (String.length second > String.length first);
+  let resumed = Option.get (leg ~resume:snap (fun () -> ring5_full ())) in
   Alcotest.(check bool) "resumed system identical" true
     (Util.ts_equal uninterrupted resumed)
 
@@ -229,21 +296,23 @@ let test_interrupted_resume () =
 (* ------------------------------------------------------------------ *)
 
 let test_worker_degradation () =
-  let sequential = ring5_span () in
-  let before = Metrics.counter_value_by_name "robust.worker_retries" in
-  Failpoint.seed 7;
-  Failpoint.set "engine.worker" 1.0;
-  let parallel =
-    Fun.protect ~finally:Failpoint.clear @@ fun () ->
-    let e = Lazy.force ring5 in
-    (Tolerance.fault_span ~workers:4 e.program ~faults:e.faults
-       ~from:e.invariant)
-      .ts_pf
-  in
-  Alcotest.(check bool) "degraded build identical" true
-    (Util.ts_equal sequential parallel);
-  Alcotest.(check bool) "retries recorded" true
-    (Metrics.counter_value_by_name "robust.worker_retries" > before)
+  List.iter
+    (fun (name, build) ->
+      let sequential = build ~workers:1 in
+      let before = Metrics.counter_value_by_name "robust.worker_retries" in
+      Failpoint.seed 7;
+      Failpoint.set "engine.worker" 1.0;
+      let parallel =
+        Fun.protect ~finally:Failpoint.clear @@ fun () -> build ~workers:4
+      in
+      Alcotest.(check bool) (name ^ ": degraded build identical") true
+        (Util.ts_equal sequential parallel);
+      Alcotest.(check bool) (name ^ ": retries recorded") true
+        (Metrics.counter_value_by_name "robust.worker_retries" > before))
+    [
+      ("fault span", fun ~workers -> ring5_span ~workers ());
+      ("full product", fun ~workers -> ring5_full ~workers ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve result-cache keying.                                          *)
@@ -334,6 +403,8 @@ let suite =
         test_cache_key_options;
       Alcotest.test_case "interrupted build resumes to identical system"
         `Slow test_interrupted_resume;
+      Alcotest.test_case "interrupted full build resumes mid-expansion"
+        `Slow test_full_resume;
       Alcotest.test_case "worker failures degrade without changing results"
         `Slow test_worker_degradation;
     ] )

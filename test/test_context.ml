@@ -3,7 +3,8 @@
 
    - `dcheck verify` prints, byte for byte, the reports and exit codes in
      [golden/] for every shipped example (all classes, and --explain on
-     the intolerant memory);
+     the intolerant memory), and `dcheck synthesize` its reports for tmr,
+     the intolerant memory (masking) and ring5 (nonmasking);
    - a three-class verify builds each system once: base, span, and p over
      the span (3 builds, where per-class construction took 9);
    - the initial-state sweep is its own traced phase, and prunes the
@@ -63,6 +64,21 @@ let golden_cases =
       golden_case "memory_intolerant.explain"
         [ "verify"; "--explain";
           Filename.concat corpus "memory_intolerant.dc" ];
+    ]
+
+(* Synthesis reads the whole p[]F product: these pin its numbering-
+   sensitive output (recovery sizes, invariant sizes) byte for byte.
+   byz4 and reset7 are too slow here and are diffed in CI instead. *)
+let synthesis_golden_cases =
+  List.map
+    (fun n ->
+      golden_case (n ^ ".synthesize")
+        [ "synthesize"; Filename.concat corpus (n ^ ".dc") ])
+    [ "tmr"; "memory_intolerant" ]
+  @ [
+      golden_case "ring5.synthesize-nonmasking"
+        [ "synthesize"; "--tolerance"; "nonmasking";
+          Filename.concat corpus "ring5.dc" ];
     ]
 
 let test_three_builds () =
@@ -149,7 +165,20 @@ let test_unpruned_sweep () =
   Alcotest.(check (option int)) "100 invariant states" (Some 100) collected;
   with_temp ".out" @@ fun out ->
   Alcotest.(check int) "--limit 99 exhausts the state budget" 3
-    (run_dcheck [ "verify"; "fixtures/lastfirst.dc"; "--limit"; "99" ] ~out)
+    (run_dcheck [ "verify"; "fixtures/lastfirst.dc"; "--limit"; "99" ] ~out);
+  (* A sweep stopped by --limit still annotates its span: 99 states are
+     collected before the 100th exhausts the budget (exit 3).  One class
+     only: the context does not memoize a failed build, so each class of
+     a three-class verify would sweep again. *)
+  let enumerated, collected =
+    init_states_attrs "fixtures/lastfirst.dc"
+      [ "--limit"; "99"; "--tolerance"; "failsafe" ]
+      ~expect_exit:3
+  in
+  Alcotest.(check bool) "enumerated present on early exit" true
+    (Option.is_some enumerated);
+  Alcotest.(check (option int)) "99 states collected before the trip"
+    (Some 99) collected
 
 let test_simulate_sparse () =
   with_temp ".out" @@ fun out ->
@@ -173,4 +202,5 @@ let suite =
           test_unpruned_sweep;
         Alcotest.test_case "simulate does not materialize the product" `Quick
           test_simulate_sparse;
-      ] )
+      ]
+    @ synthesis_golden_cases )

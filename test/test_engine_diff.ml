@@ -4,7 +4,7 @@
    A generator of random guarded-command programs (five variables with
    mixed boolean / integer / symbolic domains, random guards from seeded
    decision tables, deterministic and nondeterministic statements, and an
-   optional action that escapes its declared domain) drives three
+   optional action that escapes its declared domain) drives four
    properties:
 
    - the engine and the oracle produce identical state arrays, edge
@@ -12,6 +12,8 @@
      from a predicate over the product space — or, when the oracle's
      exploration leaves the declared domains, the engine raises exactly
      the located error the oracle predicts;
+   - over the whole product ([full]), sequential and parallel builds
+     equal the oracle's full system;
    - [Check] and [Graph] procedures report identical outcomes on both;
    - [index_of] on the packed system inverts the numbering.
 
@@ -210,13 +212,16 @@ let prop_build_identical =
                (fun i -> Ts.index_of packed (Ts.state reference i) = Some i)
                (List.init (Ts.num_states reference) Fun.id)))
 
+(* A random program and a predicate seed.  Every property over this
+   arbitrary runs under the same QCheck seed, so they see the same
+   programs. *)
+let program_pred_arb =
+  QCheck.make
+    ~print:(fun (rp, s) -> Fmt.str "%s from P%d" (print_program rp) s)
+    QCheck.Gen.(pair program_gen (int_range 0 (1 lsl 20)))
+
 let prop_of_pred_identical =
-  let arb =
-    QCheck.make
-      ~print:(fun (rp, s) -> Fmt.str "%s from P%d" (print_program rp) s)
-      QCheck.Gen.(pair program_gen (int_range 0 (1 lsl 20)))
-  in
-  Util.qtest ~count:120 "packed of_pred = reference of_pred" arb
+  Util.qtest ~count:120 "packed of_pred = reference of_pred" program_pred_arb
     (fun (rp, seed) ->
       let p = build_program rp in
       let from = pred_of_seed seed in
@@ -224,6 +229,20 @@ let prop_of_pred_identical =
       against_oracle reference
         (fun () -> Ts.of_pred p ~from)
         (equal_system reference))
+
+(* [full] is the exploration seeded with every rank of the product:
+   sequential and parallel builds (the parallel one takes the worker
+   path, 144 states against a 24-state threshold) must both match the
+   oracle's full system. *)
+let prop_full_identical =
+  Util.qtest ~count:120 "packed full = reference full" program_pred_arb
+    (fun (rp, _) ->
+      let p = build_program rp in
+      let reference = Oracle.full p in
+      against_oracle reference (fun () -> Ts.full p) (equal_system reference)
+      && against_oracle reference
+           (fun () -> Ts.full ~workers:3 p)
+           (equal_system reference))
 
 let prop_checks_identical =
   let arb =
@@ -256,4 +275,9 @@ let prop_checks_identical =
 
 let suite =
   ( "engine differential",
-    [ prop_build_identical; prop_of_pred_identical; prop_checks_identical ] )
+    [
+      prop_build_identical;
+      prop_of_pred_identical;
+      prop_full_identical;
+      prop_checks_identical;
+    ] )
